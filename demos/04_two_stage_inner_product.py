@@ -31,13 +31,7 @@ print(f"d = {dim}, bits = {bits}, {trials} trials")
 print(f"d * 4^b * mean <y, err>^2 = {stat:.3f}")
 print(f"guaranteed ceiling         = {gate:.3f}  (13 * (pi sqrt3/2 + 1))")
 
-print("\nthe fused estimator never materializes the decoded vector:")
 code = quantize_two_stage(x, cfg, seed=9, vec_counter=0)
-y = rng.standard_normal(dim)
-plain = estimate_inner_product(code, y)
-fused = estimate_inner_product(code, y, fused=True)
-print(f"plain = {plain:+.12f}\nfused = {fused:+.12f}   (|diff| = {abs(plain - fused):.1e})")
-
 xhat = dequantize_two_stage(code)
 print(f"\nfull decode distortion ||x - decoded||^2 = {float(np.sum((x - xhat) ** 2)):.2e}")
 print("(larger than the base stage alone: the sign-bit stage trades L2 for")

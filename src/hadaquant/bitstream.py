@@ -197,7 +197,7 @@ def decode(data: bytes) -> TwoStageCode:
     if indices.size and int(indices.max()) >= cfg.num_levels:
         raise FieldOverflowError(f"bucket index >= 2**bits = {cfg.num_levels}")
     base = VectorCode(indices.astype(np.uint16), norm, seed, vec_counter)
-    resid = ResidualCode(scale_idx, levels.astype(np.int64), signs, seed, vec_counter)
+    resid = ResidualCode(scale_idx, levels.astype(np.int64), signs)
     return TwoStageCode(base, resid, cfg)
 
 

@@ -9,7 +9,6 @@ Exit codes: 0 success / all rows pass, 1 failure, 2 usage error.
 """
 
 import argparse
-import dataclasses
 import struct
 import sys
 from pathlib import Path
@@ -18,9 +17,8 @@ import numpy as np
 
 from . import bench, bitstream
 from .codebook import BIASED, UNBIASED
-from .residual import ResidualCode
-from .twostage import TwoStageCode, dequantize_two_stage, quantize_two_stage
-from .vquant import QuantConfig, VectorCode
+from .twostage import dequantize_two_stage, quantize_two_stage
+from .vquant import QuantConfig
 
 VEC_MAGIC = b"HQVF"
 _VEC_HEADER = struct.Struct("<4sII")
@@ -76,25 +74,13 @@ def read_vectors(path, text: bool = False) -> np.ndarray:
 
 
 def encode_vector(x: np.ndarray, config: QuantConfig, seed: int, vec_counter: int) -> bytes:
-    """Two-stage encode of an arbitrary vector: normalize, stamp the true norm."""
-    x = np.asarray(x, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        d = config.padded_dim
-        base = VectorCode(np.zeros(d, dtype=np.uint16), 0.0, seed, vec_counter)
-        resid = ResidualCode(0, np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8), seed, vec_counter)
-        return bitstream.encode(TwoStageCode(base, resid, config))
-    code = quantize_two_stage(x / norm, config, seed, vec_counter)
-    code = dataclasses.replace(code, base=dataclasses.replace(code.base, norm=norm))
-    return bitstream.encode(code)
+    """Two-stage encode of a finite vector into one .hq payload."""
+    return bitstream.encode(quantize_two_stage(x, config, seed, vec_counter))
 
 
 def decode_payload(data: bytes) -> np.ndarray:
-    """Decode one .hq payload and rescale by the stored norm."""
-    code = bitstream.decode(data)
-    if code.base.norm == 0.0:
-        return np.zeros(code.config.dim)
-    return code.base.norm * dequantize_two_stage(code)
+    """Decode one .hq payload to a vector."""
+    return dequantize_two_stage(bitstream.decode(data))
 
 
 def cmd_quantize(args) -> int:

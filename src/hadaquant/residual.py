@@ -34,10 +34,11 @@ def min_scale(padded_dim: int, num_levels: int) -> float:
     return 1.0 / (padded_dim * num_levels)
 
 
-def _ceil_log2(x: float) -> int:
-    # ceil(log2 x) by exponent extraction; exact, no floating log.
-    m, e = math.frexp(x)
-    return e - 1 if m == 0.5 else e
+def _ceil_log2(x):
+    # ceil(log2 x) for x > 0 by exponent extraction, elementwise; exact, no
+    # floating log. Zero maps to 0.
+    m, e = np.frexp(x)
+    return np.where(m == 0.5, e - 1, e)
 
 
 def scalar_quant(s: float, padded_dim: int, num_levels: int) -> int:
@@ -48,7 +49,7 @@ def scalar_quant(s: float, padded_dim: int, num_levels: int) -> int:
     tau = min_scale(padded_dim, num_levels)
     if s < tau:
         return 0
-    idx = _ceil_log2(s / tau) + 1
+    idx = int(_ceil_log2(s / tau)) + 1
     if idx > MAX_SCALE_IDX:
         raise RuntimeError(f"scale index {idx} exceeds the one-byte cap")
     return idx
@@ -68,13 +69,15 @@ def scalar_dequant(scale_idx: int, padded_dim: int, num_levels: int) -> float:
 
 @dataclass(frozen=True)
 class ResidualCode:
-    """Scale index, per-coordinate doubling levels and signs, derivation tokens."""
+    """Scale index, per-coordinate doubling levels and signs.
+
+    The derivation tokens (seed, vec_counter) are not stored here: the
+    residual stage shares them with the base code it belongs to.
+    """
 
     scale_idx: int
     levels: np.ndarray  # (d,) int64, all zero when scale_idx == 0
     signs: np.ndarray  # (d,) int8 in {-1,+1}; zero placeholders when scale_idx == 0
-    seed: int
-    vec_counter: int
 
 
 def derive_residual_signs(seed: int, vec_counter: int, padded_dim: int):
@@ -82,25 +85,9 @@ def derive_residual_signs(seed: int, vec_counter: int, padded_dim: int):
 
 
 def _doubling_levels(v_abs: np.ndarray, sigma: float) -> np.ndarray:
-    # Smallest level with v_abs <= sigma * 2**level. sigma is an exact power
-    # of two, so the comparisons below are exact; the log2 first guess is
-    # repaired wherever rounding put it off by one.
-    with np.errstate(divide="ignore"):
-        guess = np.log2(v_abs / sigma)
-    lev = np.where(v_abs > 0.0, np.ceil(guess), 0.0)
-    lev = np.clip(lev, 0, MAX_LEVEL).astype(np.int64)
-    for _ in range(4):
-        low = v_abs > np.ldexp(sigma, lev)
-        if not low.any():
-            break
-        lev[low] += 1
-    for _ in range(4):
-        high = (lev > 0) & (v_abs <= np.ldexp(sigma, lev - 1))
-        if not high.any():
-            break
-        lev[high] -= 1
-    if (v_abs > np.ldexp(sigma, lev)).any() or ((lev > 0) & (v_abs <= np.ldexp(sigma, lev - 1))).any():
-        raise RuntimeError("level search failed to converge")
+    # Smallest level >= 0 with v_abs <= sigma * 2**level. sigma is a power of
+    # two, so v_abs / sigma is exact and so is its ceil(log2).
+    lev = np.maximum(_ceil_log2(v_abs / sigma), 0).astype(np.int64)
     if lev.max(initial=0) > MAX_LEVEL:
         raise RuntimeError(f"doubling level exceeds cap {MAX_LEVEL}")
     return lev
@@ -128,9 +115,7 @@ def residual_quant(
         raise ValueError(f"residual norm {norm} exceeds the unit-ball bound of 2")
     scale_idx = scalar_quant(norm / math.sqrt(d), d, num_levels)
     if scale_idx == 0:
-        return ResidualCode(
-            0, np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8), int(seed), int(vec_counter)
-        )
+        return ResidualCode(0, np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8))
     sigma = scalar_dequant(scale_idx, d, num_levels)
     diag = derive_residual_signs(seed, vec_counter, d)
     v = apply_hd(r, diag)
@@ -139,11 +124,16 @@ def residual_quant(
     p_plus = 0.5 * (1.0 + v / radius)
     rng = sign_rng if sign_rng is not None else stream_rng(seed, (vec_counter, STREAM_SIGN_BITS))
     signs = np.where(rng.random(d) < p_plus, 1, -1).astype(np.int8)
-    return ResidualCode(scale_idx, levels, signs, int(seed), int(vec_counter))
+    return ResidualCode(scale_idx, levels, signs)
 
 
-def residual_dequant(code: ResidualCode, num_levels: int) -> np.ndarray:
-    """Decode a residual code; conditionally unbiased given (diagonal, r)."""
+def residual_dequant(
+    code: ResidualCode, num_levels: int, seed: int, vec_counter: int
+) -> np.ndarray:
+    """Decode a residual code; conditionally unbiased given (diagonal, r).
+
+    (seed, vec_counter) are the tokens the code was encoded under.
+    """
     levels = np.asarray(code.levels)
     signs = np.asarray(code.signs)
     if levels.shape != signs.shape or levels.ndim != 1:
@@ -155,5 +145,4 @@ def residual_dequant(code: ResidualCode, num_levels: int) -> np.ndarray:
         raise ValueError("sign entries must be -1 or +1 when the scale index is nonzero")
     sigma = scalar_dequant(code.scale_idx, d, num_levels)
     q = np.ldexp(sigma, levels) * signs
-    diag = derive_residual_signs(code.seed, code.vec_counter, d)
-    return apply_hd_inverse(q, diag)
+    return apply_hd_inverse(q, derive_residual_signs(seed, vec_counter, d))

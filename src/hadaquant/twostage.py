@@ -1,32 +1,23 @@
 """Two-stage codec for inner-product estimation.
 
-Stage 1 applies the base dithered quantizer to a unit vector; the decoded
-point is projected onto the unit ball, which caps the residual norm at 2.
-Stage 2 encodes that residual with the sign-bit codec under an independent
-sign diagonal. Decoding adds the two reconstructions; the residual stage
-decorrelates the total error from any fixed query direction.
+The base code stores the input's norm and quantizes its unit direction
+(stage 1); the decoded direction is projected onto the unit ball, which caps
+the residual norm at 2. Stage 2 encodes that residual with the sign-bit codec
+under an independent sign diagonal. Decoding adds the two reconstructions and
+scales the sum by the stored norm; the residual stage decorrelates the total
+error from any fixed query direction.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import build_codebook
-from .residual import (
-    ResidualCode,
-    derive_residual_signs,
-    residual_dequant,
-    residual_quant,
-    scalar_dequant,
-)
-from .transform import apply_hd
+from .residual import ResidualCode, residual_dequant, residual_quant
 from .vquant import (
     QuantConfig,
     VectorCode,
     _decode_padded_unit,
-    derive_base_signs,
-    derive_dither,
+    _reject_overflowing_decode,
     vector_quant,
 )
 
@@ -49,70 +40,41 @@ def project_unit_ball(v) -> np.ndarray:
     return v / norm
 
 
-def quantize_two_stage(
-    x,
-    config: QuantConfig,
-    seed: int,
-    vec_counter: int,
-    sign_rng: np.random.Generator | None = None,
-) -> TwoStageCode:
-    """Encode a unit vector; both stages key their randomness off (seed, vec_counter)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != config.dim:
-        raise ValueError(f"expected a vector of length {config.dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input vector has NaN or infinite coordinates")
-    norm = float(np.linalg.norm(x))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"two-stage input must be a unit vector, got norm {norm}")
+def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> TwoStageCode:
+    """Encode any finite vector: its norm once, its direction in two stages.
+
+    Both stages key their randomness off (seed, vec_counter), which the base
+    code carries for the residual stage too. Raises ValueError only for a
+    norm whose decode would overflow float64.
+    """
     base = vector_quant(x, config, seed, vec_counter)
-    # The decoder recomputes the identical projected point, so the residual
-    # is defined against exactly what the decoder will see.
-    approx = project_unit_ball(_decode_padded_unit(base, config))
-    padded = np.zeros(config.padded_dim)
-    padded[: config.dim] = x
-    resid = padded - approx
-    residual = residual_quant(resid, config.num_levels, seed, vec_counter, sign_rng=sign_rng)
-    return TwoStageCode(base, residual, config)
+    target = np.zeros(config.padded_dim)
+    if base.norm > 0.0:
+        target[: config.dim] = np.asarray(x, dtype=np.float64) / base.norm
+        # The decoder recomputes the identical projected point, so the residual
+        # is defined against exactly what the decoder will see.
+        target -= project_unit_ball(_decode_padded_unit(base, config))
+    residual = residual_quant(target, config.num_levels, seed, vec_counter)
+    code = TwoStageCode(base, residual, config)
+    _reject_overflowing_decode(base.norm, lambda: dequantize_two_stage(code))
+    return code
 
 
 def dequantize_two_stage(code: TwoStageCode) -> np.ndarray:
-    """Decode: projected base reconstruction plus residual, truncated to dim."""
-    config = code.config
-    approx = project_unit_ball(_decode_padded_unit(code.base, config))
-    rhat = residual_dequant(code.residual, config.num_levels)
+    """Decode: stored norm times (projected base reconstruction plus residual)."""
+    config, base = code.config, code.base
+    if base.norm == 0.0:
+        return np.zeros(config.dim)
+    approx = project_unit_ball(_decode_padded_unit(base, config))
+    rhat = residual_dequant(code.residual, config.num_levels, base.seed, base.vec_counter)
     if rhat.shape != approx.shape:
         raise ValueError(f"residual length {rhat.shape} does not match {approx.shape}")
-    return (approx + rhat)[: config.dim]
+    return base.norm * (approx + rhat)[: config.dim]
 
 
-def estimate_inner_product(code: TwoStageCode, y, fused: bool = False) -> float:
-    """Inner product of y with the decoded vector.
-
-    The fused path evaluates both stages in the transform domain without
-    materializing the decoded vector; it agrees with the plain path to
-    floating-point rounding (~1e-10 relative).
-    """
+def estimate_inner_product(code: TwoStageCode, y) -> float:
+    """Inner product of y with the decoded vector."""
     y = np.asarray(y, dtype=np.float64)
-    config = code.config
-    if y.ndim != 1 or y.shape[0] != config.dim:
-        raise ValueError(f"expected a vector of length {config.dim}, got shape {y.shape}")
-    if not fused:
-        return float(y @ dequantize_two_stage(code))
-
-    padded = np.zeros(config.padded_dim)
-    padded[: config.dim] = y
-    d = config.padded_dim
-    base = code.base
-    cb = build_codebook(config.mode, config.num_levels, derive_dither(base.seed, base.vec_counter))
-    ytab = cb.recon[base.indices] / math.sqrt(d)
-    scale = min(1.0, 1.0 / float(np.linalg.norm(ytab)))
-    total = scale * float(apply_hd(padded, derive_base_signs(base.seed, base.vec_counter, d)) @ ytab)
-    resid = code.residual
-    if resid.scale_idx > 0:
-        sigma = scalar_dequant(resid.scale_idx, d, config.num_levels)
-        q = np.ldexp(sigma, np.asarray(resid.levels)) * np.asarray(resid.signs)
-        total += float(
-            apply_hd(padded, derive_residual_signs(resid.seed, resid.vec_counter, d)) @ q
-        )
-    return total
+    if y.ndim != 1 or y.shape[0] != code.config.dim:
+        raise ValueError(f"expected a vector of length {code.config.dim}, got shape {y.shape}")
+    return float(y @ dequantize_two_stage(code))

@@ -66,6 +66,38 @@ def derive_dither(seed: int, vec_counter: int) -> float:
     return float(stream_rng(seed, (vec_counter, STREAM_DITHER)).random())
 
 
+def scaled_norm(x: np.ndarray) -> float:
+    """Euclidean norm of x, computed on x scaled by a power of two.
+
+    Scaling by 2**-k, where 2**k just exceeds max|x|, is exact, so the result
+    equals np.linalg.norm(x) wherever that neither overflows nor underflows,
+    and stays finite and nonzero where it would. A norm beyond the float64
+    range cannot be stored and raises ValueError.
+    """
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if peak == 0.0:
+        return 0.0
+    k = math.frexp(peak)[1]
+    try:
+        return math.ldexp(float(np.linalg.norm(np.ldexp(x, -k))), k)
+    except OverflowError:
+        raise ValueError("the norm of the input vector exceeds the float64 range") from None
+
+
+# Codebook entries stay below 2**52 at every dither the streams can draw, so
+# a decoded coordinate is below 2**52 times the norm; only a norm above this
+# can overflow on decode, and only such inputs are decoded at encode time.
+_DECODE_CHECK_NORM = 2.0**960
+
+
+def _reject_overflowing_decode(norm: float, decode) -> None:
+    if norm > _DECODE_CHECK_NORM:
+        with np.errstate(over="ignore"):
+            finite = bool(np.all(np.isfinite(decode())))
+        if not finite:
+            raise ValueError("decoding this vector would exceed the float64 range")
+
+
 def _pad(x: np.ndarray, padded_dim: int) -> np.ndarray:
     if x.shape[0] == padded_dim:
         return x
@@ -75,13 +107,16 @@ def _pad(x: np.ndarray, padded_dim: int) -> np.ndarray:
 
 
 def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorCode:
-    """Encode x: pad, transform with a fresh sign diagonal, bucket every coordinate."""
+    """Encode x: pad, transform with a fresh sign diagonal, bucket every coordinate.
+
+    Any finite x is accepted, except one whose decode would overflow float64.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != config.dim:
         raise ValueError(f"expected a vector of length {config.dim}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input vector has NaN or infinite coordinates")
-    norm = float(np.linalg.norm(x))
+    norm = scaled_norm(x)
     if norm == 0.0:
         indices = np.zeros(config.padded_dim, dtype=np.uint16)
         return VectorCode(indices, 0.0, int(seed), int(vec_counter))
@@ -89,7 +124,9 @@ def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorC
     cb = build_codebook(config.mode, config.num_levels, derive_dither(seed, vec_counter))
     z = math.sqrt(config.padded_dim) * apply_hd(_pad(x / norm, config.padded_dim), diag)
     indices = quantize_scalar(z, cb).astype(np.uint16)
-    return VectorCode(indices, norm, int(seed), int(vec_counter))
+    code = VectorCode(indices, norm, int(seed), int(vec_counter))
+    _reject_overflowing_decode(norm, lambda: vector_dequant(code, config))
+    return code
 
 
 def _decode_padded_unit(code: VectorCode, config: QuantConfig) -> np.ndarray:

@@ -197,11 +197,10 @@ def _random_code(rng):
     norm = float(rng.random() * 9)
     base = VectorCode(indices, norm, seed, counter)
     if rng.random() < 0.25:
-        resid = ResidualCode(0, np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8),
-                             seed, counter)
+        resid = ResidualCode(0, np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8))
     else:
         resid = ResidualCode(int(rng.integers(1, 40)), rng.integers(0, 7, size=d),
-                             rng.choice([-1, 1], size=d).astype(np.int8), seed, counter)
+                             rng.choice([-1, 1], size=d).astype(np.int8))
     return TwoStageCode(base, resid, cfg)
 
 

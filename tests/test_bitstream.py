@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hadaquant import bitstream
 from hadaquant.bitstream import (
@@ -18,9 +21,9 @@ from hadaquant.bitstream import (
     encode,
     rate_report,
 )
-from hadaquant.codebook import UNBIASED
-from hadaquant.residual import ResidualCode
-from hadaquant.twostage import TwoStageCode, quantize_two_stage
+from hadaquant.codebook import MODES, UNBIASED
+from hadaquant.residual import MAX_LEVEL, ResidualCode
+from hadaquant.twostage import TwoStageCode, dequantize_two_stage, quantize_two_stage
 from hadaquant.vquant import QuantConfig, VectorCode
 
 
@@ -35,7 +38,7 @@ def _code(dim=4, bits=2, indices=None, scale_idx=0, levels=None, signs=None,
     if signs is None:
         signs = np.ones(d, dtype=np.int8) if scale_idx else np.zeros(d, dtype=np.int8)
     base = VectorCode(indices, norm, seed, counter)
-    resid = ResidualCode(scale_idx, levels, np.asarray(signs, dtype=np.int8), seed, counter)
+    resid = ResidualCode(scale_idx, levels, np.asarray(signs, dtype=np.int8))
     return TwoStageCode(base, resid, cfg)
 
 
@@ -210,3 +213,48 @@ def test_every_corruption_is_a_typed_error():
             decode(bytes(blob))
         except WireFormatError:
             pass  # typed rejection or a silently valid mutation; never a crash
+
+
+@st.composite
+def _valid_codes(draw):
+    cfg = QuantConfig(
+        dim=draw(st.integers(1, 40)),
+        bits=draw(st.integers(1, 16)),
+        mode=draw(st.sampled_from(MODES)),
+    )
+    d = cfg.padded_dim
+    indices = draw(hnp.arrays(np.uint16, d, elements=st.integers(0, cfg.num_levels - 1)))
+    norm = draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    seed, counter = draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**64 - 1))
+    scale_idx = draw(st.integers(0, 255))
+    if scale_idx:
+        levels = draw(hnp.arrays(np.int64, d, elements=st.integers(0, MAX_LEVEL)))
+        signs = draw(hnp.arrays(np.int8, d, elements=st.sampled_from([-1, 1])))
+    else:
+        levels, signs = np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8)
+    return TwoStageCode(
+        VectorCode(indices, norm, seed, counter), ResidualCode(scale_idx, levels, signs), cfg
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(code=_valid_codes())
+def test_wire_round_trip_decodes_bit_identically(code):
+    back = decode(encode(code))
+    # a norm near the float64 limit may decode to inf; both sides must agree
+    with np.errstate(over="ignore"):
+        assert dequantize_two_stage(back).tobytes() == dequantize_two_stage(code).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(code=_valid_codes(), data=st.data())
+def test_mutated_or_truncated_payload_is_typed_error(code, data):
+    payload = bytearray(encode(code))
+    positions = st.integers(0, len(payload) - 1)
+    for pos, value in data.draw(st.lists(st.tuples(positions, st.integers(0, 255)), max_size=4)):
+        payload[pos] = value
+    cut = data.draw(st.integers(0, len(payload)))
+    try:
+        decode(bytes(payload[:cut]))
+    except WireFormatError:
+        pass  # typed rejection or a silently valid mutation; never a crash

@@ -6,7 +6,9 @@ import pytest
 
 from hadaquant.residual import (
     LEVEL_SUM_COEFF,
+    MAX_LEVEL,
     ResidualCode,
+    _doubling_levels,
     derive_residual_signs,
     min_scale,
     residual_dequant,
@@ -52,7 +54,7 @@ def test_zero_residual_trivial_code():
     code = residual_quant(np.zeros(8), 16, seed=1, vec_counter=0)
     assert code.scale_idx == 0
     assert not code.levels.any() and not code.signs.any()
-    assert np.array_equal(residual_dequant(code, 16), np.zeros(8))
+    assert np.array_equal(residual_dequant(code, 16, 1, 0), np.zeros(8))
 
 
 def _residual_for_transformed(v, seed, vec_counter):
@@ -75,7 +77,7 @@ def test_levels_and_radii_worked_example():
         fresh = residual_quant(r, 4, 9, 0, sign_rng=stream_rng(1234, draw))
         assert fresh.signs[1] == 1
     # decoded magnitudes are radius * sign
-    decoded_q = np.abs(apply_hd(residual_dequant(code, 4), derive_residual_signs(9, 0, 4)))
+    decoded_q = np.abs(apply_hd(residual_dequant(code, 4, 9, 0), derive_residual_signs(9, 0, 4)))
     assert decoded_q == pytest.approx([1.0, 0.5, 0.5, 0.5], abs=1e-12)
 
 
@@ -112,7 +114,7 @@ def test_conditional_unbiasedness_monte_carlo():
     decoded = (signs * radius) @ dense_hadamard(d) * diag.signs
     for row in range(5):
         prod = residual_dequant(
-            ResidualCode(code.scale_idx, code.levels, signs[row].astype(np.int8), 3, 0), 16
+            ResidualCode(code.scale_idx, code.levels, signs[row].astype(np.int8)), 16, 3, 0
         )
         assert np.abs(prod - decoded[row]).max() <= 1e-12
     mean = decoded.mean(axis=0)
@@ -134,9 +136,36 @@ def test_exact_sign_enumeration_recovers_residual():
     for pattern in itertools.product((1, -1), repeat=d):
         signs = np.array(pattern, dtype=np.int8)
         prob = float(np.prod(np.where(signs == 1, p_plus, 1.0 - p_plus)))
-        lam = ResidualCode(code.scale_idx, code.levels, signs, 21, 5)
-        expect += prob * residual_dequant(lam, 8)
+        lam = ResidualCode(code.scale_idx, code.levels, signs)
+        expect += prob * residual_dequant(lam, 8, 21, 5)
     assert np.abs(expect - r).max() <= 1e-12
+
+
+def _level_by_definition(v, sigma):
+    level = 0
+    while v > sigma * 2.0**level:
+        level += 1
+    return level
+
+
+def test_doubling_levels_match_definition_on_boundaries():
+    # exact powers of two times sigma, their one-ulp neighbours, zero and
+    # subnormals, for every power-of-two sigma from 2**-60 to 2**2
+    rng = np.random.default_rng(56)
+    for exp in range(-60, 3):
+        sigma = 2.0**exp
+        edges = sigma * 2.0 ** np.arange(MAX_LEVEL + 1)
+        v = np.concatenate([
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges[:-1], np.inf),
+            [0.0, 5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1022],
+            sigma * 2.0 ** (rng.random(50) * MAX_LEVEL),
+        ])
+        expect = [_level_by_definition(float(vi), sigma) for vi in v]
+        assert _doubling_levels(v, sigma).tolist() == expect, exp
+    with pytest.raises(RuntimeError):
+        _doubling_levels(np.array([np.nextafter(2.0**MAX_LEVEL, np.inf)]), 1.0)
 
 
 def test_level_sum_rate_bound():
@@ -175,7 +204,7 @@ def test_query_direction_error_bound():
     errs = []
     for trial in range(400):
         code = residual_quant(r, size, seed=300, vec_counter=trial)
-        errs.append(float(y @ (residual_dequant(code, size) - r)) ** 2)
+        errs.append(float(y @ (residual_dequant(code, size, 300, trial) - r)) ** 2)
     bound = 13.0 * (0.1**2 + size**-2.0) / d
     assert np.mean(errs) <= bound
 
@@ -189,9 +218,9 @@ def test_rejects_norm_above_two():
 
 def test_rejects_malformed_code():
     code = residual_quant(np.full(4, 0.3), 4, 0, 0)
-    bad = ResidualCode(code.scale_idx, code.levels[:2], code.signs, 0, 0)
+    bad = ResidualCode(code.scale_idx, code.levels[:2], code.signs)
     with pytest.raises(ValueError):
-        residual_dequant(bad, 4)
-    zeroed = ResidualCode(code.scale_idx, code.levels, np.zeros(4, dtype=np.int8), 0, 0)
+        residual_dequant(bad, 4, 0, 0)
+    zeroed = ResidualCode(code.scale_idx, code.levels, np.zeros(4, dtype=np.int8))
     with pytest.raises(ValueError):
-        residual_dequant(zeroed, 4)
+        residual_dequant(zeroed, 4, 0, 0)
