@@ -20,7 +20,7 @@ print("reconstruction:", np.round(cb.recon, 4))
 
 print("\n== sample values through it ==")
 for t in (-2.0, -0.3, 0.0, 1.7):
-    j = quantize_scalar(t, cb)
+    j = quantize_scalar(t, BIASED, 8, 0.4)
     print(f"t = {t:+.2f} -> bucket {j} -> {reconstruct_scalar(j, cb):+.4f}")
 
 print("\n== the unbiased rule kills the systematic error ==")
@@ -34,7 +34,7 @@ for mode in (BIASED, UNBIASED):
 
     def recon_of_dither(u, mode=mode):
         cb_mode = build_codebook(mode, size, u)
-        return reconstruct_scalar(quantize_scalar(t, cb_mode), cb_mode)
+        return reconstruct_scalar(quantize_scalar(t, mode, size, u), cb_mode)
 
     avg = u_average(recon_of_dither, size, breakpoints=jumps)
     print(f"{mode:>8s}: dither-averaged reconstruction of t={t} = {avg:+.7f}")

@@ -169,7 +169,7 @@ def dither_average_error(bits: int, t_grid=None) -> float:
 
         def recon_of_u(u, t=float(t)):
             cb = build_codebook(UNBIASED, num_levels, u)
-            return cb.recon[quantize_scalar(t, cb)]
+            return cb.recon[quantize_scalar(t, UNBIASED, num_levels, u)]
 
         avg = oracle.u_average(recon_of_u, num_levels, breakpoints=[jump, 0.5])
         worst = max(worst, abs(avg - float(t)))

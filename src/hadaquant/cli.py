@@ -102,7 +102,16 @@ def cmd_dequantize(args) -> int:
     paths = sorted(in_dir.glob("*.hq"))
     if not paths:
         raise ValueError(f"{in_dir}: no .hq payloads")
-    rows = [decode_payload(p.read_bytes()) for p in paths]
+    decoded = []
+    for path in paths:
+        payload = path.read_bytes()
+        row = decode_payload(payload)  # validates the header read next
+        decoded.append((bitstream.HEADER.unpack_from(payload)[7], row))
+    # Rows follow each header's vec_counter (field 7), not the file names,
+    # which sort "vec_100000" before "vec_10001"; the stable sort keeps
+    # file-name order among equal counters.
+    decoded.sort(key=lambda entry: entry[0])
+    rows = [row for _, row in decoded]
     widths = {r.shape[0] for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{in_dir}: payloads decode to mixed dimensions {sorted(widths)}")
@@ -112,10 +121,10 @@ def cmd_dequantize(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # An explicit 0 is kept, so that the suite rejects it.
     dim, bits, trials = (
-        args.dim or _SUITE_DEFAULTS[args.suite][0],
-        args.bits or _SUITE_DEFAULTS[args.suite][1],
-        args.trials or _SUITE_DEFAULTS[args.suite][2],
+        default if value is None else value
+        for value, default in zip((args.dim, args.bits, args.trials), _SUITE_DEFAULTS[args.suite])
     )
     if args.suite == "mse":
         rows = bench.mse_suite(dim, bits, trials, args.seed, mode=args.mode)

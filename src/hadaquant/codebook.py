@@ -2,7 +2,9 @@
 
 Quantization happens in quantile space: each input t is mapped through the
 CDF of a centered Gaussian with variance 3, and a uniformly dithered grid
-on [0, 1] decides its bucket. Two reconstruction rules are supported:
+on [0, 1] decides its bucket. Bucketing (``quantize_scalar``) needs only the
+mode, the size and the dither; reconstruction tables (``build_codebook``)
+are built only to decode. Two reconstruction rules are supported:
 
 * ``biased``   -- a grid with spacing 1/size and pinned endpoints; each
   bucket reconstructs at the inverse CDF of its quantile midpoint.
@@ -58,12 +60,25 @@ def pdf(t):
 
 def _inv_cdf_slope(s: np.ndarray) -> np.ndarray:
     # (inv_cdf)'(s) = 1 / pdf(inv_cdf(s)); +inf outside (0, 1), which keeps
-    # divergent sums well-defined instead of raising.
+    # divergent sums well-defined instead of raising. The operations of
+    # 1 / (_PDF_NORM * exp(-(_SQRT3 * ndtri(s))**2 / 6)), in that order, run in
+    # place on one buffer: at 2**16 entries the temporaries cost as much as
+    # the arithmetic.
     s = np.asarray(s, dtype=np.float64)
-    out = np.full(s.shape, np.inf)
     ok = (s > 0.0) & (s < 1.0)
+    inside = bool(ok.all())
     with np.errstate(divide="ignore", over="ignore"):
-        out[ok] = 1.0 / (_PDF_NORM * np.exp(-(_SQRT3 * ndtri(s[ok])) ** 2 / 6.0))
+        q = ndtri(s if inside else s[ok])
+        q *= _SQRT3
+        q *= q
+        q /= -6.0
+        np.exp(q, out=q)
+        q *= _PDF_NORM
+        np.divide(1.0, q, out=q)
+    if inside:
+        return q
+    out = np.full(s.shape, np.inf)
+    out[ok] = q
     return out
 
 
@@ -117,11 +132,18 @@ class ScalarCodebook:
     grid: np.ndarray | None = None  # quantile boundaries, biased mode only
 
 
-def _build_biased(size: int, dither: float) -> ScalarCodebook:
+def _biased_grid(size: int, dither: float) -> np.ndarray:
+    # Quantile boundaries of the biased buckets: pinned endpoints, dithered
+    # interior. The bucket rule and the table builder share this one helper.
     grid = np.empty(size + 1)
     grid[0] = 0.0
     grid[size] = 1.0
     grid[1:size] = (np.arange(1, size) + dither) / size
+    return grid
+
+
+def _build_biased(size: int, dither: float) -> ScalarCodebook:
+    grid = _biased_grid(size, dither)
     mids = (grid[:-1] + grid[1:]) / 2.0
     return ScalarCodebook(BIASED, size, dither, inv_cdf(mids), grid)
 
@@ -129,23 +151,19 @@ def _build_biased(size: int, dither: float) -> ScalarCodebook:
 def _build_unbiased(size: int, dither: float) -> ScalarCodebook:
     spacing = 1.0 / (size - 1)
     # Reconstruction arguments (j + dither - 1/2) * spacing share one cell
-    # representative, so the whole table is one anchored cumulative sweep of
-    # midpoint slopes: O(size) total.
-    args = (np.arange(size) + dither - 0.5) * spacing
+    # representative u, at cell offsets k0 .. k0 + size - 1 with k0 <= 0, so
+    # the whole table is one cumulative sweep of midpoint slopes anchored at
+    # offset 0 (entry -k0): O(size) total.
     k0 = (0 if dither <= 0.5 else 1) - size // 2  # exact: ceil(dither - 1/2) - size/2
-    u = args[0] - k0 * spacing
-    ks = k0 + np.arange(size)
-    lo = min(k0, 0)
-    hi = max(int(ks[-1]), 0)
-    mids = u + (np.arange(lo, hi) + 0.5) * spacing
+    u = (dither - 0.5) * spacing - k0 * spacing
+    mids = u + (np.arange(k0, k0 + size - 1, dtype=np.float64) + 0.5) * spacing
     inc = spacing * _inv_cdf_slope(mids)
-    # Partial sums anchored at offset 0, accumulated outward so that a
-    # divergent increment next to a domain endpoint cannot poison the rest.
-    neg = -np.cumsum(inc[:-lo][::-1])[::-1] if lo < 0 else np.empty(0)
-    pos = np.cumsum(inc[-lo:]) if hi > 0 else np.empty(0)
-    partial = np.concatenate([neg, [0.0], pos])
+    # Partial sums accumulated outward from the anchor, so that a divergent
+    # increment next to a domain endpoint cannot poison the rest.
+    neg = -np.cumsum(inc[:-k0][::-1])[::-1]
+    pos = np.cumsum(inc[-k0:])
     anchor = math.inf if u >= 1.0 else inv_cdf(u)
-    recon = anchor + partial[ks - lo]
+    recon = anchor + np.concatenate([neg, [0.0], pos])
 
     if not np.all(np.isfinite(recon)):
         # Only reachable at measure-zero dithers (dither == 0, or 0.5 when
@@ -160,31 +178,39 @@ def _build_unbiased(size: int, dither: float) -> ScalarCodebook:
     return ScalarCodebook(UNBIASED, size, dither, recon)
 
 
-def build_codebook(mode: str, num_levels: int, dither: float) -> ScalarCodebook:
-    """Construct the scalar codebook for a bucket count and dither offset in [0, 1)."""
+def _check_args(mode: str, num_levels: int, dither: float) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if num_levels < 2 or not math.log2(num_levels).is_integer():
         raise ValueError(f"num_levels must be a power of two >= 2, got {num_levels}")
     if not 0.0 <= dither < 1.0:
         raise ValueError(f"dither must lie in [0, 1), got {dither}")
+
+
+def build_codebook(mode: str, num_levels: int, dither: float) -> ScalarCodebook:
+    """Construct the scalar codebook for a bucket count and dither offset in [0, 1)."""
+    _check_args(mode, num_levels, dither)
     if mode == BIASED:
         return _build_biased(num_levels, dither)
     return _build_unbiased(num_levels, dither)
 
 
-def quantize_scalar(t, cb: ScalarCodebook):
-    """Bucket index of t (scalar or array); half-open buckets, ties go up."""
+def quantize_scalar(t, mode: str, num_levels: int, dither: float):
+    """Bucket index of t (scalar or array); half-open buckets, ties go up.
+
+    Needs no reconstruction table: the buckets follow from the mode, the
+    bucket count and the dither offset alone.
+    """
+    _check_args(mode, num_levels, dither)
     t = np.asarray(t, dtype=np.float64)
     if np.isnan(t).any():
         raise ValueError("quantize_scalar: NaN input")
     p = ndtr(t / _SQRT3)
-    if cb.mode == BIASED:
-        idx = np.searchsorted(cb.grid, p, side="right") - 1
-        idx = np.clip(idx, 0, cb.size - 1)
+    if mode == BIASED:
+        idx = np.searchsorted(_biased_grid(num_levels, dither), p, side="right") - 1
     else:
-        idx = np.floor((cb.size - 1) * p - cb.dither).astype(np.int64) + 1
-        idx = np.clip(idx, 0, cb.size - 1)
+        idx = np.floor((num_levels - 1) * p - dither).astype(np.int64) + 1
+    idx = np.clip(idx, 0, num_levels - 1)
     return int(idx) if idx.ndim == 0 else idx
 
 

@@ -17,8 +17,8 @@ from .vquant import (
     QuantConfig,
     VectorCode,
     _decode_padded_unit,
+    _quantize,
     _reject_overflowing_decode,
-    vector_quant,
 )
 
 
@@ -44,16 +44,17 @@ def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> T
     """Encode any finite vector: its norm once, its direction in two stages.
 
     Both stages key their randomness off (seed, vec_counter), which the base
-    code carries for the residual stage too. Raises ValueError only for a
-    norm whose decode would overflow float64.
+    code carries for the residual stage too. The base stage's sign diagonal
+    and dither are derived once and reused to decode it here. Raises
+    ValueError only for a norm whose decode would overflow float64.
     """
-    base = vector_quant(x, config, seed, vec_counter)
+    base, draws = _quantize(x, config, seed, vec_counter)
     target = np.zeros(config.padded_dim)
     if base.norm > 0.0:
         target[: config.dim] = np.asarray(x, dtype=np.float64) / base.norm
         # The decoder recomputes the identical projected point, so the residual
         # is defined against exactly what the decoder will see.
-        target -= project_unit_ball(_decode_padded_unit(base, config))
+        target -= project_unit_ball(_decode_padded_unit(base, config, draws))
     residual = residual_quant(target, config.num_levels, seed, vec_counter)
     code = TwoStageCode(base, residual, config)
     _reject_overflowing_decode(base.norm, lambda: dequantize_two_stage(code))

@@ -3,7 +3,10 @@
 A vector is stored as its full-precision norm plus per-coordinate bucket
 indices of the transformed unit direction. Fresh randomness (sign diagonal
 and dither offset) is derived deterministically from (seed, vec_counter),
-so the decoder needs only those two tokens.
+so the decoder needs only those two tokens. Each encode derives that
+randomness once: bucketing reads only the dither, and the two-stage codec
+reuses the same draws to decode its base stage. A reconstruction table is
+built only where a decode reads it.
 """
 
 import math
@@ -106,11 +109,10 @@ def _pad(x: np.ndarray, padded_dim: int) -> np.ndarray:
     return out
 
 
-def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorCode:
-    """Encode x: pad, transform with a fresh sign diagonal, bucket every coordinate.
-
-    Any finite x is accepted, except one whose decode would overflow float64.
-    """
+def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
+    # vector_quant, also returning the (sign diagonal, dither) it derived, so
+    # that the two-stage codec decodes its base stage without re-deriving
+    # them; the draws are None for the zero vector, which derives nothing.
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != config.dim:
         raise ValueError(f"expected a vector of length {config.dim}, got shape {x.shape}")
@@ -119,21 +121,35 @@ def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorC
     norm = scaled_norm(x)
     if norm == 0.0:
         indices = np.zeros(config.padded_dim, dtype=np.uint16)
-        return VectorCode(indices, 0.0, int(seed), int(vec_counter))
+        return VectorCode(indices, 0.0, int(seed), int(vec_counter)), None
     diag = derive_base_signs(seed, vec_counter, config.padded_dim)
-    cb = build_codebook(config.mode, config.num_levels, derive_dither(seed, vec_counter))
+    dither = derive_dither(seed, vec_counter)
     z = math.sqrt(config.padded_dim) * apply_hd(_pad(x / norm, config.padded_dim), diag)
-    indices = quantize_scalar(z, cb).astype(np.uint16)
+    indices = quantize_scalar(z, config.mode, config.num_levels, dither).astype(np.uint16)
     code = VectorCode(indices, norm, int(seed), int(vec_counter))
     _reject_overflowing_decode(norm, lambda: vector_dequant(code, config))
-    return code
+    return code, (diag, dither)
 
 
-def _decode_padded_unit(code: VectorCode, config: QuantConfig) -> np.ndarray:
+def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorCode:
+    """Encode x: pad, transform with a fresh sign diagonal, bucket every coordinate.
+
+    Any finite x is accepted, except one whose decode would overflow float64.
+    """
+    return _quantize(x, config, seed, vec_counter)[0]
+
+
+def _decode_padded_unit(code: VectorCode, config: QuantConfig, draws=None) -> np.ndarray:
     # Reconstruction of the unit direction in padded space (no norm scaling,
     # no truncation); shared by the plain decoder and the two-stage codec.
-    diag = derive_base_signs(code.seed, code.vec_counter, config.padded_dim)
-    cb = build_codebook(config.mode, config.num_levels, derive_dither(code.seed, code.vec_counter))
+    # draws is the (sign diagonal, dither) pair of the code, if already known.
+    if draws is None:
+        draws = (
+            derive_base_signs(code.seed, code.vec_counter, config.padded_dim),
+            derive_dither(code.seed, code.vec_counter),
+        )
+    diag, dither = draws
+    cb = build_codebook(config.mode, config.num_levels, dither)
     y = cb.recon[code.indices] / math.sqrt(config.padded_dim)
     return apply_hd_inverse(y, diag)
 

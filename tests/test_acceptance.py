@@ -47,7 +47,7 @@ def _basis_e1_exact(bits: int, trials: int):
 
     def moments(u):
         cb = build_codebook(UNBIASED, num_levels, u)
-        v = 4.0**bits * (cb.recon[quantize_scalar(ts, cb)] - ts) ** 2
+        v = 4.0**bits * (cb.recon[quantize_scalar(ts, UNBIASED, num_levels, u)] - ts) ** 2
         return np.concatenate([v, v * v])
 
     jumps = ((num_levels - 1) * cdf(ts)) % 1.0

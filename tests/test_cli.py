@@ -121,3 +121,32 @@ def test_dequantize_rejects_missing_payloads(tmp_path):
     (tmp_path / "d").mkdir()
     assert main(["dequantize", "--input", str(tmp_path / "d"),
                  "--output", str(tmp_path / "o.vec")]) == 1
+
+
+def test_dequantize_orders_rows_by_vec_counter(tmp_path):
+    # file names sort "vec_100000" between "vec_10000" and "vec_10001"; rows
+    # must follow the counters in the headers instead
+    rng = np.random.default_rng(83)
+    cfg = QuantConfig(dim=6, bits=4)
+    codes = tmp_path / "codes"
+    codes.mkdir()
+    expected = []
+    for counter in (10000, 10001, 100000):
+        payload = encode_vector(rng.standard_normal(6), cfg, 9, counter)
+        (codes / f"vec_{counter:05d}.hq").write_bytes(payload)
+        expected.append(decode_payload(payload))
+    # equal counters keep file-name order
+    tie = encode_vector(rng.standard_normal(6), cfg, 9, 100000)
+    (codes / "vec_100000b.hq").write_bytes(tie)
+    expected.append(decode_payload(tie))
+    out = tmp_path / "out.vec"
+    assert main(["dequantize", "--input", str(codes), "--output", str(out)]) == 0
+    assert np.array_equal(read_vectors(out), np.vstack(expected))
+
+
+@pytest.mark.parametrize("flag", ["--dim", "--bits", "--trials"])
+def test_bench_explicit_zero_is_rejected(flag, capsys):
+    # an explicit 0 must reach the suite's validation, not become the default
+    args = {"--dim": "16", "--bits": "4", "--trials": "3", flag: "0"}
+    assert main(["bench", "rate", *(item for pair in args.items() for item in pair)]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtr, ndtri
 
 from hadaquant.codebook import (
     BIASED,
@@ -190,6 +191,91 @@ def test_biased_interior_mirror_symmetry():
             assert a[j] == pytest.approx(-b[size - 2 - j], abs=1e-12)
 
 
+# Reference table arithmetic in its plainest form: a mask-guarded slope, a
+# full argument array and a gather over the partial sums. The builder and
+# the biased bucket rule must reproduce it bit for bit.
+
+
+def _reference_slope(s):
+    out = np.full(s.shape, np.inf)
+    ok = (s > 0.0) & (s < 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        out[ok] = 1.0 / (1.0 / math.sqrt(6.0 * math.pi)
+                         * np.exp(-(SQRT3 * ndtri(s[ok])) ** 2 / 6.0))
+    return out
+
+
+def _reference_biased(size, dither):
+    grid = np.empty(size + 1)
+    grid[0] = 0.0
+    grid[size] = 1.0
+    grid[1:size] = (np.arange(1, size) + dither) / size
+    mids = (grid[:-1] + grid[1:]) / 2.0
+    return grid, SQRT3 * ndtri(mids)
+
+
+def _reference_unbiased(size, dither):
+    """The table and whether the saturation branch ran."""
+    spacing = 1.0 / (size - 1)
+    args = (np.arange(size) + dither - 0.5) * spacing
+    k0 = (0 if dither <= 0.5 else 1) - size // 2
+    u = args[0] - k0 * spacing
+    ks = k0 + np.arange(size)
+    lo = min(k0, 0)
+    hi = max(int(ks[-1]), 0)
+    mids = u + (np.arange(lo, hi) + 0.5) * spacing
+    inc = spacing * _reference_slope(mids)
+    neg = -np.cumsum(inc[:-lo][::-1])[::-1] if lo < 0 else np.empty(0)
+    pos = np.cumsum(inc[-lo:]) if hi > 0 else np.empty(0)
+    partial = np.concatenate([neg, [0.0], pos])
+    anchor = math.inf if u >= 1.0 else SQRT3 * ndtri(u)
+    recon = anchor + partial[ks - lo]
+    saturated = not np.all(np.isfinite(recon))
+    if saturated:
+        lo_val = SQRT3 * ndtri(1e-300)
+        recon = np.clip(recon, lo_val, -lo_val)
+        for j in range(1, size):
+            if recon[j] <= recon[j - 1]:
+                recon[j] = recon[j - 1] + 1.0
+    return recon, saturated
+
+
+BUCKET_PROBES = np.random.default_rng(25).standard_normal(400) * 3.0
+TABLE_DITHERS = [0.0, 2.0**-53, 0.25, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53] + [
+    float(u) for u in np.random.default_rng(24).random(50)
+]
+
+
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_tables_match_reference_bit_for_bit(bits):
+    size = 1 << bits
+    for dither in TABLE_DITHERS:
+        grid, recon = _reference_biased(size, dither)
+        if not np.all(np.isfinite(recon)):
+            # a grid point next to 1 rounds onto it, and inv_cdf rejects the
+            # empty top bucket's midpoint 1.0 (dither 1 - 2**-53 here)
+            with pytest.raises(ValueError):
+                build_codebook(BIASED, size, dither)
+        else:
+            cb = build_codebook(BIASED, size, dither)
+            assert np.array_equal(cb.grid, grid), (size, dither)
+            assert np.array_equal(cb.recon, recon), (size, dither)
+        p = ndtr(BUCKET_PROBES / SQRT3)
+        want = np.clip(np.searchsorted(grid, p, side="right") - 1, 0, size - 1)
+        assert np.array_equal(quantize_scalar(BUCKET_PROBES, BIASED, size, dither), want)
+        recon, _ = _reference_unbiased(size, dither)
+        assert np.array_equal(build_codebook(UNBIASED, size, dither).recon, recon), (size, dither)
+
+
+def test_tables_match_reference_on_saturation_branch():
+    # the measure-zero dithers where the defining formula diverges
+    cases = [(1 << bits, 0.0) for bits in range(1, 17)] + [(2, 0.5)]
+    for size, dither in cases:
+        recon, saturated = _reference_unbiased(size, dither)
+        assert saturated, (size, dither)
+        assert np.array_equal(build_codebook(UNBIASED, size, dither).recon, recon), (size, dither)
+
+
 def test_build_rejects_bad_args():
     with pytest.raises(ValueError):
         build_codebook(BIASED, 1, 0.0)
@@ -205,28 +291,32 @@ def test_build_rejects_bad_args():
 
 
 def test_quantize_biased_examples():
-    cb = build_codebook(BIASED, 2, 0.0)
     assert cdf(-1.0) < 0.5  # oracle for the bucket decision
-    assert quantize_scalar(-1.0, cb) == 0
-    assert quantize_scalar(0.0, cb) == 1  # tie at a boundary goes up
+    assert quantize_scalar(-1.0, BIASED, 2, 0.0) == 0
+    assert quantize_scalar(0.0, BIASED, 2, 0.0) == 1  # tie at a boundary goes up
 
 
 def test_quantize_unbiased_formula_example():
-    cb = build_codebook(UNBIASED, 4, 0.25)
-    assert quantize_scalar(0.0, cb) == 2
+    assert quantize_scalar(0.0, UNBIASED, 4, 0.25) == 2
 
 
 def test_quantize_saturated_tails():
     for mode in (BIASED, UNBIASED):
-        cb = build_codebook(mode, 8, 0.37)
-        assert quantize_scalar(-80.0, cb) == 0
-        assert quantize_scalar(80.0, cb) == 7
+        assert quantize_scalar(-80.0, mode, 8, 0.37) == 0
+        assert quantize_scalar(80.0, mode, 8, 0.37) == 7
 
 
 def test_quantize_rejects_nan():
-    cb = build_codebook(BIASED, 4, 0.2)
     with pytest.raises(ValueError):
-        quantize_scalar(math.nan, cb)
+        quantize_scalar(math.nan, BIASED, 4, 0.2)
+
+
+def test_quantize_rejects_bad_args():
+    # the same arguments build_codebook rejects
+    for mode, size, dither in ((BIASED, 1, 0.0), (BIASED, 3, 0.0), (UNBIASED, 4, 1.0),
+                               (UNBIASED, 4, -0.1), ("other", 4, 0.0)):
+        with pytest.raises(ValueError):
+            quantize_scalar(0.0, mode, size, dither)
 
 
 def test_reconstruct_roundtrip_and_monotone():
@@ -234,7 +324,7 @@ def test_reconstruct_roundtrip_and_monotone():
     vals = [reconstruct_scalar(j, cb) for j in range(16)]
     assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
     for j in range(16):
-        assert quantize_scalar(vals[j], cb) == j
+        assert quantize_scalar(vals[j], BIASED, 16, 0.3) == j
     with pytest.raises(ValueError):
         reconstruct_scalar(16, cb)
     with pytest.raises(ValueError):
@@ -251,7 +341,7 @@ def test_biased_direct_path_matches_tables():
         )
         tables = np.array(
             [
-                reconstruct_scalar(quantize_scalar(ti, build_codebook(BIASED, size, ui)),
+                reconstruct_scalar(quantize_scalar(ti, BIASED, size, ui),
                                    build_codebook(BIASED, size, ui))
                 for ti, ui in zip(t, u)
             ]
@@ -272,7 +362,7 @@ def test_unbiased_dither_average_recovers_input():
 
             def recon_of_dither(u, t=float(t), size=size):
                 cb = build_codebook(UNBIASED, size, u)
-                return reconstruct_scalar(quantize_scalar(t, cb), cb)
+                return reconstruct_scalar(quantize_scalar(t, UNBIASED, size, u), cb)
 
             avg = u_average(recon_of_dither, size, breakpoints=_dither_jumps(t, size))
             assert avg == pytest.approx(float(t), abs=1e-6), (size, t)
@@ -297,5 +387,5 @@ def test_crude_envelope():
             cb = build_codebook(mode, 16, float(rng.random()))
             cap = max(abs(cb.recon[0]), abs(cb.recon[-1]))
             t = rng.standard_normal(50) * 10
-            vals = reconstruct_scalar(quantize_scalar(t, cb), cb)
+            vals = reconstruct_scalar(quantize_scalar(t, mode, 16, cb.dither), cb)
             assert np.all(np.abs(vals) <= cap)

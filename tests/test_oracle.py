@@ -70,7 +70,7 @@ def test_u_average_is_the_unbiasedness_oracle():
 
     def recon_of_dither(u):
         cb = build_codebook(UNBIASED, size, u)
-        return reconstruct_scalar(quantize_scalar(t, cb), cb)
+        return reconstruct_scalar(quantize_scalar(t, UNBIASED, size, u), cb)
 
     avg = u_average(recon_of_dither, size, breakpoints=[jump, 0.5])
     assert avg == pytest.approx(t, abs=1e-6)

@@ -82,9 +82,11 @@ def test_matches_manual_pipeline():
     padded = np.zeros(cfg.padded_dim)
     padded[:12] = x / norm
     diag = derive_base_signs(17, 2, cfg.padded_dim)
-    cb = build_codebook(cfg.mode, cfg.num_levels, derive_dither(17, 2))
+    dither = derive_dither(17, 2)
+    cb = build_codebook(cfg.mode, cfg.num_levels, dither)
     z = math.sqrt(cfg.padded_dim) * apply_hd(padded, diag)
-    assert np.array_equal(code.indices, quantize_scalar(z, cb).astype(np.uint16))
+    indices = quantize_scalar(z, cfg.mode, cfg.num_levels, dither)
+    assert np.array_equal(code.indices, indices.astype(np.uint16))
     assert code.norm == pytest.approx(norm, abs=0)
     decoded = vector_dequant(code, cfg)
     manual = norm * apply_hd_inverse(cb.recon[code.indices] / math.sqrt(cfg.padded_dim), diag)
@@ -102,7 +104,7 @@ def test_dither_quadrature_unbiasedness_at_fixed_signs():
 
     def decoded_of_dither(u):
         cb = build_codebook(UNBIASED, cfg.num_levels, u)
-        y = cb.recon[quantize_scalar(z, cb)] / math.sqrt(8)
+        y = cb.recon[quantize_scalar(z, UNBIASED, cfg.num_levels, u)] / math.sqrt(8)
         return apply_hd_inverse(y, diag)
 
     avg = u_average(decoded_of_dither, cfg.num_levels, breakpoints=jumps)
@@ -143,7 +145,7 @@ def test_exact_small_instance_expectation_matches_monte_carlo():
 
         def sq_error_of_dither(u):
             cb = build_codebook(UNBIASED, size, u)
-            y = cb.recon[quantize_scalar(z, cb)] / 2.0
+            y = cb.recon[quantize_scalar(z, UNBIASED, size, u)] / 2.0
             return float(np.sum((x - apply_hd_inverse(y, diag)) ** 2))
 
         exact += u_average(sq_error_of_dither, size, breakpoints=jumps) / 16.0
@@ -178,9 +180,9 @@ def test_padding_discards_tail_and_matches_unpadded():
     x8 = rng.standard_normal(8)
     code = vector_quant(x8, cfg8, seed=3, vec_counter=0)
     diag = derive_base_signs(3, 0, 8)
-    cb = build_codebook(cfg8.mode, 16, derive_dither(3, 0))
     z = math.sqrt(8) * apply_hd(x8 / np.linalg.norm(x8), diag)
-    assert np.array_equal(code.indices, quantize_scalar(z, cb).astype(np.uint16))
+    indices = quantize_scalar(z, cfg8.mode, 16, derive_dither(3, 0))
+    assert np.array_equal(code.indices, indices.astype(np.uint16))
 
 
 def test_rejects_bad_inputs():
