@@ -112,18 +112,24 @@ def test_payload_digest(case):
     assert hashlib.sha256(payload).hexdigest() == PAYLOADS[case]
 
 
-# suite call -> sha256 of bench.rows_to_csv(rows)
+# suite call -> sha256 of bench.rows_to_csv(rows). The calls above 512 trials
+# pin how the suites group their per-trial sums (per 512 trials, then in
+# order): one running total differs in the last bits.
 CSV_DIGESTS = {
     ("mse", 48, 6, 40, 5):
         "ceb03896b0d75f5c8b08833c49f0c59167e390fec604e4ca95b40c395a11569e",
     ("mse", 64, 2, 30, 9):
         "3cccf629aca148324896abd4ed22fda0fd0cc2c12d5be38e199ad0f5700be5aa",
+    ("mse", 64, 4, 1100, 5):
+        "138c28313edf0cf0e231ddfad5ffcc951a645bc707f5b3cd90aa6cbd14e38a68",
     ("rate", 100, 4, 20, 3):
         "45ff3e4b5572dfa0e6176499ca94a120da38fda8b11205d3043bb26e3e5a07fb",
     ("rate", 64, 16, 6, 5):
         "85f86076277009d3a8324647908f35715db61d26395dcda7a4f3d2ac08bc17c8",
     ("unbiased", 16, 3, 200, 4):
         "85a16b78d30bd326095b435b3d5fd68c51afc52ad05dded9eb600782ef9dbd3f",
+    ("unbiased", 16, 3, 1300, 4):
+        "623d18e6ff694fb176669a54c39dde2d2b867b9faf3a243483f8b9d224e99376",
 }
 
 _SUITES = {
