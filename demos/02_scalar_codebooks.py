@@ -36,7 +36,7 @@ for mode in (BIASED, UNBIASED):
         cb_mode = build_codebook(mode, size, u)
         return reconstruct_scalar(quantize_scalar(t, mode, size, u), cb_mode)
 
-    avg = u_average(recon_of_dither, size, breakpoints=jumps)
+    avg = u_average(recon_of_dither, breakpoints=jumps)
     print(f"{mode:>8s}: dither-averaged reconstruction of t={t} = {avg:+.7f}")
 
 print("\n== distortion constant at 8 bits ==")

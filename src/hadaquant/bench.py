@@ -1,15 +1,12 @@
 """Benchmark suites: measured statistics against their theoretical constants.
 
 Each suite returns ExperimentRow records. All randomness is keyed by
-(seed, trial index), so results are bit-identical across runs and across
-serial/parallel execution; HQ_THREADS > 1 spreads trial chunks over a
-process pool.
+(seed, trial index) and the trials run in order in one process, so a suite
+called again with the same arguments measures the same values bit for bit.
 """
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,50 +59,27 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _workers() -> int:
-    try:
-        n = int(os.environ.get("HQ_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, min(n, os.cpu_count() or 1))
-
-
-def _map_chunks(fn, jobs):
-    workers = _workers()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
-def _chunked(trials: int):
+def _trial_range(trials: int) -> range:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    return [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
+    return range(trials)
+
+
+def _chunked(trials: int):
+    # The summing suites add their per-trial terms per group of _CHUNK
+    # trials, then add the group sums in order. One running total would
+    # change the last bits of `measured` above _CHUNK trials, and the golden
+    # CSV digests pin those bits.
+    every = _trial_range(trials)
+    return [every[lo : lo + _CHUNK] for lo in range(0, trials, _CHUNK)]
 
 
 # --- mse suite -------------------------------------------------------------
-
-
-def _mse_chunk(job):
-    dim, bits, mode, seed, kind, lo, hi = job
-    cfg = QuantConfig(dim=dim, bits=bits, mode=mode)
-    if kind == "basis-e1":
-        x = np.zeros(dim)
-        x[0] = 1.0
-    else:
-        x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
-    total = 0.0
-    for trial in range(lo, hi):
-        code = vector_quant(x, cfg, seed, trial)
-        err = x - vector_dequant(code, cfg)
-        total += float(err @ err)
-    return total
 
 
 def mse_suite(dim, bits, trials, seed, mode=UNBIASED):
@@ -118,11 +92,23 @@ def mse_suite(dim, bits, trials, seed, mode=UNBIASED):
     only to the upper edge: the method caps distortion for every input but
     promises no floor.
     """
+    chunks = _chunked(trials)
+    cfg = QuantConfig(dim=dim, bits=bits, mode=mode)
     rows = []
     for kind in ("random-unit", "basis-e1"):
         start = time.perf_counter()
-        jobs = [(dim, bits, mode, seed, kind, lo, hi) for lo, hi in _chunked(trials)]
-        total = sum(_map_chunks(_mse_chunk, jobs))
+        if kind == "basis-e1":
+            x = np.zeros(dim)
+            x[0] = 1.0
+        else:
+            x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
+        total = 0.0
+        for chunk in chunks:
+            part = 0.0
+            for trial in chunk:
+                err = x - vector_dequant(vector_quant(x, cfg, seed, trial), cfg)
+                part += float(err @ err)
+            total += part
         measured = 4.0**bits * total / trials
         floor = MSE_WINDOW[0] if kind == "random-unit" else -math.inf
         rows.append(
@@ -143,19 +129,6 @@ def mse_suite(dim, bits, trials, seed, mode=UNBIASED):
 # --- unbiased suite --------------------------------------------------------
 
 
-def _unbiased_chunk(job):
-    dim, bits, seed, lo, hi = job
-    cfg = QuantConfig(dim=dim, bits=bits, mode=UNBIASED)
-    x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
-    acc = np.zeros(dim)
-    acc_sq = np.zeros(dim)
-    for trial in range(lo, hi):
-        decoded = vector_dequant(vector_quant(x, cfg, seed, trial), cfg)
-        acc += decoded
-        acc_sq += decoded * decoded
-    return acc, acc_sq
-
-
 def dither_average_error(bits: int, t_grid=None) -> float:
     """Max over a t-grid of |E_U[reconstruct(quantize(t))] - t| by quadrature."""
     num_levels = 1 << bits
@@ -171,7 +144,7 @@ def dither_average_error(bits: int, t_grid=None) -> float:
             cb = build_codebook(UNBIASED, num_levels, u)
             return cb.recon[quantize_scalar(t, UNBIASED, num_levels, u)]
 
-        avg = oracle.u_average(recon_of_u, num_levels, breakpoints=[jump, 0.5])
+        avg = oracle.u_average(recon_of_u, breakpoints=[jump, 0.5])
         worst = max(worst, abs(avg - float(t)))
     return worst
 
@@ -179,11 +152,20 @@ def dither_average_error(bits: int, t_grid=None) -> float:
 def unbiased_suite(dim, bits, trials, seed):
     """Per-coordinate z-scores of the decoded mean, plus the dither-average check."""
     start = time.perf_counter()
-    jobs = [(dim, bits, seed, lo, hi) for lo, hi in _chunked(trials)]
-    parts = _map_chunks(_unbiased_chunk, jobs)
-    acc = sum(p[0] for p in parts)
-    acc_sq = sum(p[1] for p in parts)
+    chunks = _chunked(trials)
+    cfg = QuantConfig(dim=dim, bits=bits, mode=UNBIASED)
     x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
+    acc = np.zeros(dim)
+    acc_sq = np.zeros(dim)
+    for chunk in chunks:
+        part = np.zeros(dim)
+        part_sq = np.zeros(dim)
+        for trial in chunk:
+            decoded = vector_dequant(vector_quant(x, cfg, seed, trial), cfg)
+            part += decoded
+            part_sq += decoded * decoded
+        acc += part
+        acc_sq += part_sq
     mean = acc / trials
     var = np.maximum(acc_sq / trials - mean * mean, 1e-300)
     stderr = np.sqrt(var / trials)
@@ -220,24 +202,21 @@ def unbiased_suite(dim, bits, trials, seed):
 # --- inner-product suite ---------------------------------------------------
 
 
-def _inner_chunk(job):
-    dim, bits, mode, seed, lo, hi = job
-    cfg = QuantConfig(dim=dim, bits=bits, mode=mode)
-    x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
-    total = 0.0
-    for trial in range(lo, hi):
-        y = _random_unit(stream_rng(seed, (_TAG_BENCH_Y, trial)), dim)
-        code = quantize_two_stage(x, cfg, seed, trial)
-        err = estimate_inner_product(code, y) - float(y @ x)
-        total += err * err
-    return total
-
-
 def inner_product_suite(dim, bits, trials, seed, mode=UNBIASED):
     """Query-direction error statistic dim * 4**bits * E<y, decoded - x>^2."""
     start = time.perf_counter()
-    jobs = [(dim, bits, mode, seed, lo, hi) for lo, hi in _chunked(trials)]
-    total = sum(_map_chunks(_inner_chunk, jobs))
+    chunks = _chunked(trials)
+    cfg = QuantConfig(dim=dim, bits=bits, mode=mode)
+    x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
+    total = 0.0
+    for chunk in chunks:
+        part = 0.0
+        for trial in chunk:
+            y = _random_unit(stream_rng(seed, (_TAG_BENCH_Y, trial)), dim)
+            code = quantize_two_stage(x, cfg, seed, trial)
+            err = estimate_inner_product(code, y) - float(y @ x)
+            part += err * err
+        total += part
     measured = dim * 4.0**bits * total / trials
     return [
         ExperimentRow(
@@ -256,24 +235,16 @@ def inner_product_suite(dim, bits, trials, seed, mode=UNBIASED):
 # --- rate suite ------------------------------------------------------------
 
 
-def _rate_chunk(job):
-    dim, bits, mode, seed, lo, hi = job
-    cfg = QuantConfig(dim=dim, bits=bits, mode=mode)
-    worst = 0
-    for trial in range(lo, hi):
-        x = _random_unit(stream_rng(seed, (_TAG_BENCH_RATE, trial)), dim)
-        report = bitstream.rate_report(quantize_two_stage(x, cfg, seed, trial))
-        worst = max(worst, report["total_bits"] - report["header_bits"])
-    return worst
-
-
 def rate_suite(dim, bits, trials, seed, mode=UNBIASED):
     """Deterministic payload budget: body bits <= dim*bits + ceil(3.7213*dim)."""
     start = time.perf_counter()
     cfg = QuantConfig(dim=dim, bits=bits, mode=mode)
     budget = cfg.padded_dim * bits + math.ceil(RATE_COEFF * cfg.padded_dim)
-    jobs = [(dim, bits, mode, seed, lo, hi) for lo, hi in _chunked(trials)]
-    worst = max(_map_chunks(_rate_chunk, jobs))
+    worst = 0
+    for trial in _trial_range(trials):
+        x = _random_unit(stream_rng(seed, (_TAG_BENCH_RATE, trial)), dim)
+        report = bitstream.rate_report(quantize_two_stage(x, cfg, seed, trial))
+        worst = max(worst, report["total_bits"] - report["header_bits"])
     return [
         ExperimentRow(
             "rate/max-body-bits",

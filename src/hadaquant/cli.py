@@ -23,13 +23,17 @@ from .vquant import QuantConfig
 VEC_MAGIC = b"HQVF"
 _VEC_HEADER = struct.Struct("<4sII")
 
-_SUITE_DEFAULTS = {
-    # suite: (dim, bits, trials)
-    "mse": (1024, 6, 20000),
-    "unbiased": (64, 3, 100000),
-    "inner-product": (512, 4, 10000),
-    "rate": (4096, 4, 1000),
-    "oracle": (10, 0, 0),
+# suite: (function, the flags it reads with their defaults). Every suite also
+# reads --seed and --csv; any other flag is a usage error.
+_SUITES = {
+    "mse": (bench.mse_suite, {"dim": 1024, "bits": 6, "trials": 20000, "mode": UNBIASED}),
+    "unbiased": (bench.unbiased_suite, {"dim": 64, "bits": 3, "trials": 100000}),
+    "inner-product": (
+        bench.inner_product_suite,
+        {"dim": 512, "bits": 4, "trials": 10000, "mode": UNBIASED},
+    ),
+    "rate": (bench.rate_suite, {"dim": 4096, "bits": 4, "trials": 1000, "mode": UNBIASED}),
+    "oracle": (bench.oracle_suite, {}),
 }
 
 
@@ -121,21 +125,18 @@ def cmd_dequantize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    # An explicit 0 is kept, so that the suite rejects it.
-    dim, bits, trials = (
-        default if value is None else value
-        for value, default in zip((args.dim, args.bits, args.trials), _SUITE_DEFAULTS[args.suite])
-    )
-    if args.suite == "mse":
-        rows = bench.mse_suite(dim, bits, trials, args.seed, mode=args.mode)
-    elif args.suite == "unbiased":
-        rows = bench.unbiased_suite(dim, bits, trials, args.seed)
-    elif args.suite == "inner-product":
-        rows = bench.inner_product_suite(dim, bits, trials, args.seed, mode=args.mode)
-    elif args.suite == "rate":
-        rows = bench.rate_suite(dim, bits, trials, args.seed, mode=args.mode)
-    else:
-        rows = bench.oracle_suite(args.seed)
+    suite, defaults = _SUITES[args.suite]
+    # A flag is given unless absent: an explicit 0 is kept, so that the
+    # suite rejects it.
+    given = {
+        flag: getattr(args, flag)
+        for flag in ("dim", "bits", "trials", "mode")
+        if getattr(args, flag) is not None
+    }
+    unread = [f"--{flag}" for flag in given if flag not in defaults]
+    if unread:
+        args.usage_error(f"suite {args.suite} does not read {', '.join(unread)}")
+    rows = suite(seed=args.seed, **{**defaults, **given})
     for r in rows:
         verdict = "PASS" if r.passed else "FAIL"
         print(
@@ -168,14 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=cmd_dequantize)
 
     b = sub.add_parser("bench", help="run a benchmark suite")
-    b.add_argument("suite", choices=sorted(_SUITE_DEFAULTS))
+    b.add_argument("suite", choices=sorted(_SUITES))
     b.add_argument("--dim", type=int)
     b.add_argument("--bits", type=int)
     b.add_argument("--trials", type=int)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--mode", choices=[BIASED, UNBIASED], default=UNBIASED)
+    b.add_argument("--mode", choices=[BIASED, UNBIASED])
     b.add_argument("--csv", help="write rows to this CSV path")
-    b.set_defaults(fn=cmd_bench)
+    b.set_defaults(fn=cmd_bench, usage_error=b.error)
     return parser
 
 

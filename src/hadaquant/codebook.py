@@ -145,7 +145,14 @@ def _biased_grid(size: int, dither: float) -> np.ndarray:
 def _build_biased(size: int, dither: float) -> ScalarCodebook:
     grid = _biased_grid(size, dither)
     mids = (grid[:-1] + grid[1:]) / 2.0
-    return ScalarCodebook(BIASED, size, dither, inv_cdf(mids), grid)
+    recon = np.empty(size)
+    recon[:-1] = inv_cdf(mids[:-1])
+    # Next to dither 1 the top bucket's midpoint 1 - (1 - dither) / (2 * size)
+    # rounds to 1.0, where inv_cdf diverges; that entry is then taken from the
+    # upper tail, as inv_cdf(1 - q) = -inv_cdf(q).
+    top = mids[-1]
+    recon[-1] = inv_cdf(top) if top < 1.0 else -inv_cdf((1.0 - dither) / (2 * size))
+    return ScalarCodebook(BIASED, size, dither, recon, grid)
 
 
 def _build_unbiased(size: int, dither: float) -> ScalarCodebook:

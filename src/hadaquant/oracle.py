@@ -71,16 +71,14 @@ def _adaptive(fn, lo: float, hi: float, tol: float, depth: int):
     return _adaptive(fn, lo, mid, tol, depth - 1) + _adaptive(fn, mid, hi, tol, depth - 1)
 
 
-def u_average(fn, num_levels: int, breakpoints=None, tol: float = 1e-10):
+def u_average(fn, breakpoints=None, tol: float = 1e-10):
     """Average of fn(U) over the dither U in [0, 1).
 
-    fn must be piecewise smooth with at most O(num_levels) jumps, whose
-    locations the caller supplies in ``breakpoints`` (quantization-decision
-    jumps are analytic, so blind adaptive quadrature across them is never
-    needed). Refinement-estimated absolute error is at most ~tol per piece.
+    fn must be piecewise smooth, and the caller supplies the locations of its
+    jumps in ``breakpoints`` (quantization-decision jumps are analytic, so
+    blind adaptive quadrature across them is never needed). Refinement-estimated absolute error is at most ~tol per piece.
     fn may return scalars or arrays.
     """
-    del num_levels  # part of the contract's smoothness budget, not the math
     pts = sorted({0.0, 1.0, *(float(b) for b in (breakpoints or []) if 0.0 < float(b) < 1.0)})
     total = None
     for lo, hi in zip(pts[:-1], pts[1:]):

@@ -51,7 +51,7 @@ def _basis_e1_exact(bits: int, trials: int):
         return np.concatenate([v, v * v])
 
     jumps = ((num_levels - 1) * cdf(ts)) % 1.0
-    m = u_average(moments, num_levels, breakpoints=[*jumps, 0.5])
+    m = u_average(moments, breakpoints=[*jumps, 0.5])
     mean, second = float(m[:2].mean()), float(m[2:].mean())
     return mean, math.sqrt((second - mean * mean) / trials)
 

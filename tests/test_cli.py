@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -103,18 +100,18 @@ def test_bench_writes_deterministic_csv(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bench_parallel_matches_serial(tmp_path):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    base = [sys.executable, "-m", "hadaquant", "bench", "mse", "--dim", "64",
-            "--bits", "4", "--trials", "600", "--seed", "5"]
-    env = dict(os.environ)
-    env.pop("HQ_THREADS", None)
-    subprocess.run(base + ["--csv", str(serial)], check=True, env=env,
-                   capture_output=True)
-    env["HQ_THREADS"] = "2"
-    subprocess.run(base + ["--csv", str(parallel)], check=True, env=env,
-                   capture_output=True)
-    assert serial.read_bytes() == parallel.read_bytes()
+@pytest.mark.parametrize("argv, unread", [
+    (["oracle", "--dim", "5", "--bits", "3", "--trials", "7", "--mode", "biased"],
+     "--dim, --bits, --trials, --mode"),
+    (["oracle", "--trials", "0"], "--trials"),
+    (["unbiased", "--mode", "biased"], "--mode"),
+    (["unbiased", "--dim", "16", "--mode", "unbiased"], "--mode"),
+])
+def test_bench_rejects_flags_the_suite_does_not_read(argv, unread, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", *argv])
+    assert exc.value.code == 2
+    assert f"suite {argv[0]} does not read {unread}" in capsys.readouterr().err
 
 
 def test_dequantize_rejects_missing_payloads(tmp_path):

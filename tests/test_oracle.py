@@ -56,11 +56,11 @@ def test_enumeration_report_error_field():
 
 
 def test_u_average_constant():
-    assert u_average(lambda u: 2.75, 8) == pytest.approx(2.75, abs=1e-12)
+    assert u_average(lambda u: 2.75) == pytest.approx(2.75, abs=1e-12)
 
 
 def test_u_average_vector_valued():
-    out = u_average(lambda u: np.array([u, u * u]), 8)
+    out = u_average(lambda u: np.array([u, u * u]))
     assert out == pytest.approx([0.5, 1.0 / 3.0], abs=1e-10)
 
 
@@ -72,13 +72,13 @@ def test_u_average_is_the_unbiasedness_oracle():
         cb = build_codebook(UNBIASED, size, u)
         return reconstruct_scalar(quantize_scalar(t, UNBIASED, size, u), cb)
 
-    avg = u_average(recon_of_dither, size, breakpoints=[jump, 0.5])
+    avg = u_average(recon_of_dither, breakpoints=[jump, 0.5])
     assert avg == pytest.approx(t, abs=1e-6)
 
 
 def test_u_average_reports_nonconvergence_on_undeclared_jump():
     with pytest.raises(RuntimeError):
-        u_average(lambda u: 1.0 if u > 1.0 / 3.0 else 0.0, 8)
+        u_average(lambda u: 1.0 if u > 1.0 / 3.0 else 0.0)
 
 
 def test_normal_weighted_scalar_mse_near_constant():
@@ -93,7 +93,6 @@ def test_normal_weighted_scalar_mse_near_constant():
         jump = (size * cdf(float(ti))) % 1.0
         val = u_average(
             lambda u, ti=ti: (ti - _biased_quant_direct(ti, u, size)) ** 2,
-            size,
             breakpoints=[jump],
         )
         total += wi * val

@@ -107,7 +107,7 @@ def test_dither_quadrature_unbiasedness_at_fixed_signs():
         y = cb.recon[quantize_scalar(z, UNBIASED, cfg.num_levels, u)] / math.sqrt(8)
         return apply_hd_inverse(y, diag)
 
-    avg = u_average(decoded_of_dither, cfg.num_levels, breakpoints=jumps)
+    avg = u_average(decoded_of_dither, breakpoints=jumps)
     assert np.abs(avg - x).max() <= 1e-6
 
 
@@ -148,7 +148,7 @@ def test_exact_small_instance_expectation_matches_monte_carlo():
             y = cb.recon[quantize_scalar(z, UNBIASED, size, u)] / 2.0
             return float(np.sum((x - apply_hd_inverse(y, diag)) ** 2))
 
-        exact += u_average(sq_error_of_dither, size, breakpoints=jumps) / 16.0
+        exact += u_average(sq_error_of_dither, breakpoints=jumps) / 16.0
 
     trials = 3000
     samples = np.empty(trials)
