@@ -106,7 +106,7 @@ def test_bench_writes_deterministic_csv(tmp_path):
     (["oracle", "--trials", "0"], "--trials"),
     (["unbiased", "--mode", "biased"], "--mode"),
     (["unbiased", "--dim", "16", "--mode", "unbiased"], "--mode"),
-])
+], ids=["oracle-four-flags", "oracle-zero-trials", "unbiased-biased", "unbiased-unbiased"])
 def test_bench_rejects_flags_the_suite_does_not_read(argv, unread, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", *argv])

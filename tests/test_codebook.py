@@ -241,7 +241,8 @@ def _reference_unbiased(size, dither):
 
 
 BUCKET_PROBES = np.random.default_rng(25).standard_normal(400) * 3.0
-TABLE_DITHERS = [0.0, 2.0**-53, 0.25, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53] + [
+TABLE_DITHERS = [0.0, 2.0**-53, 0.25, 0.5, 0.5 + 2.0**-53, 1.0 - 98303 * 2.0**-53,
+                 1.0 - 2.0**-53] + [
     float(u) for u in np.random.default_rng(24).random(50)
 ]
 
@@ -256,8 +257,9 @@ def test_tables_match_reference_bit_for_bit(bits):
         if np.all(np.isfinite(recon)):
             assert np.array_equal(cb.recon, recon), (size, dither)
         else:
-            # the top bucket's midpoint rounds to 1.0 (dither 1 - 2**-53
-            # here); only that entry leaves the reference, and stays finite
+            # the top bucket's midpoint rounds to 1.0 (at bits=16 for every
+            # dither >= 1 - 98303 * 2**-53); only that entry leaves the
+            # reference, and stays finite
             assert np.array_equal(cb.recon[:-1], recon[:-1]), (size, dither)
             assert np.isfinite(cb.recon[-1]), (size, dither)
             assert cb.recon[-1] > cb.recon[-2], (size, dither)
