@@ -52,7 +52,17 @@ def stream_rng(seed: int, stream_id) -> np.random.Generator:
     for token in _as_stream_tuple(stream_id):
         key_lo = _mix64(key_lo ^ _mix64(token))
     key_hi = _mix64(key_lo ^ 0x9E3779B97F4A7C15)
-    return np.random.Generator(np.random.Philox(key=[key_lo, key_hi]))
+    return np.random.Generator(np.random.Philox(key=_philox_key(key_lo, key_hi)))
+
+
+def _philox_key(key_lo: int, key_hi: int) -> np.ndarray:
+    # The key every stream has always used. It was once passed as the list
+    # [key_lo, key_hi], from which numpy infers float64 when exactly one word
+    # is >= 2**63: both words are then rounded to 53 bits, and a word that
+    # rounds to 2**64 is stored as 0. That rounding is part of the streams.
+    if (key_lo >> 63) != (key_hi >> 63):
+        key_lo, key_hi = (int(float(w)) & _MASK64 for w in (key_lo, key_hi))
+    return np.array([key_lo, key_hi], dtype=np.uint64)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 from hadaquant.oracle import dense_hadamard
 from hadaquant.transform import (
     SignDiagonal,
+    _philox_key,
     apply_hd,
     apply_hd_inverse,
     fwht_normalized,
@@ -129,3 +130,28 @@ def test_sign_diagonal_validates_entries():
         SignDiagonal(np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         SignDiagonal(np.ones(3))
+
+
+# Philox keys: the list form [key_lo, key_hi] once handed to numpy is the
+# contract, rounding and all.
+
+
+@pytest.mark.parametrize("key", [
+    (2**63 + 12345, 5),  # one word >= 2**63: numpy infers float64 and rounds
+    (2**63 + 12345, 2**63 + 6),  # both >= 2**63: uint64, exact
+    (12345, 2**63 - 1),  # both < 2**63: int64, exact
+])
+def test_philox_key_matches_list_key(key):
+    want = np.random.Philox(key=list(key)).state["state"]["key"]
+    assert np.array_equal(_philox_key(*key), want)
+
+
+def test_philox_key_rounds_mixed_words():
+    assert _philox_key(2**63 + 12345, 5).tolist() == [2**63 + 12288, 5]
+    assert _philox_key(2**63 + 12345, 2**63 + 6).tolist() == [2**63 + 12345, 2**63 + 6]
+
+
+def test_philox_key_rounding_to_2_64_stores_zero_without_warning():
+    # numpy's list form stores [0, 5] here too, with an invalid-cast warning
+    assert _philox_key(2**64 - 100, 5).tolist() == [0, 5]
+    assert _philox_key(5, 2**64 - 100).tolist() == [5, 0]
