@@ -5,6 +5,17 @@ so the matrix is symmetric and the forward and inverse butterflies are the
 same up to the sign diagonal. Normalization is applied as a single scale
 pass after the butterflies, which keeps the butterfly stages exact in
 binary floating point for integer inputs.
+
+The butterflies run as a constant-geometry sweep (M. C. Pease, J. ACM 15(2),
+1968). Every one of the log2 d stages reads the adjacent pairs
+(v[2i], v[2i+1]) and writes a + b to out[i] and a - b to out[i + d/2], two
+long array operations into one of two buffers in turn. Each stage rotates
+the index bits one place to the right, so after the last stage the layout is
+back in natural order, and stage k meets exactly the two operands, in the
+same order, that the textbook in-place stage of span 2**k pairs up. The
+result is therefore bit-identical to the in-place sweep, signed zeros
+included, while every stage is two calls over d/2 entries rather than d/2h
+short loops of length h.
 """
 
 from dataclasses import dataclass, field
@@ -88,28 +99,40 @@ class SignDiagonal:
 
 
 def sample_signs(seed: int, stream_id, d: int) -> SignDiagonal:
-    """Draw d independent random signs, reproducibly keyed by (seed, stream_id)."""
+    """Draw d independent random signs, reproducibly keyed by (seed, stream_id).
+
+    Sign j is +1 when the top bit of the j-th 32-bit half of the stream's raw
+    64-bit words is set, low half first. These are the draws of
+    ``2 * Generator.integers(0, 2, size=d) - 1``, read straight from the raw
+    words, which numpy keeps stable across releases (NEP 19); Generator
+    methods carry no such promise.
+    """
     if not is_power_of_two(d):
         raise ValueError(f"dimension must be a power of two, got {d}")
-    rng = stream_rng(seed, stream_id)
-    signs = 2.0 * rng.integers(0, 2, size=d).astype(np.float64) - 1.0
+    raw = stream_rng(seed, stream_id).bit_generator.random_raw((d + 1) // 2)
+    halves = raw.astype("<u8").view("<i4")[:d]
+    signs = np.where(halves < 0, 1.0, -1.0)
     return SignDiagonal(signs=signs, seed=int(seed), stream_id=_as_stream_tuple(stream_id))
 
 
-def _fwht_inplace(v: np.ndarray) -> np.ndarray:
-    # Unnormalized in-place butterflies followed by one d**-0.5 scale pass.
-    d = v.shape[0]
-    h = 1
-    while h < d:
-        pairs = v.reshape(-1, 2, h)
-        a = pairs[:, 0, :]
-        b = pairs[:, 1, :]
-        diff = a - b
-        a += b
-        b[...] = diff
-        h *= 2
-    v *= d ** -0.5
-    return v
+def _fwht(v: np.ndarray) -> np.ndarray:
+    # Unnormalized constant-geometry butterflies along the last axis, then
+    # one d**-0.5 scale pass. Each stage reads the adjacent pairs of its
+    # source and writes their sums to the low half and their differences to
+    # the high half of one of two buffers, in turn; v itself is only read.
+    d = v.shape[-1]
+    half = d // 2
+    arrays = (v, np.empty_like(v), np.empty_like(v))
+    pairs = [(x[..., 0::2], x[..., 1::2]) for x in arrays]
+    halves = [(x[..., :half], x[..., half:]) for x in arrays]
+    src = 0
+    for stage in range(d.bit_length() - 1):
+        dst = 1 + stage % 2
+        a, b = pairs[src]
+        np.add(a, b, out=halves[dst][0])
+        np.subtract(a, b, out=halves[dst][1])
+        src = dst
+    return np.multiply(arrays[src], d ** -0.5, out=arrays[2 if src == 1 else 1])
 
 
 def fwht_normalized(v) -> np.ndarray:
@@ -118,12 +141,12 @@ def fwht_normalized(v) -> np.ndarray:
     The input length must be a power of two. The result has the same
     Euclidean norm as the input up to floating-point rounding.
     """
-    v = np.array(v, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or not is_power_of_two(v.shape[0]):
         raise ValueError(
             f"fwht_normalized needs a 1-d vector with power-of-two length, got shape {v.shape}"
         )
-    return _fwht_inplace(v)
+    return _fwht(v)
 
 
 def apply_hd(x, diag: SignDiagonal) -> np.ndarray:
@@ -131,7 +154,7 @@ def apply_hd(x, diag: SignDiagonal) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != diag.signs.shape:
         raise ValueError(f"length mismatch: vector {x.shape} vs diagonal {diag.signs.shape}")
-    return _fwht_inplace(x * diag.signs)
+    return _fwht(x * diag.signs)
 
 
 def apply_hd_inverse(y, diag: SignDiagonal) -> np.ndarray:
@@ -139,4 +162,6 @@ def apply_hd_inverse(y, diag: SignDiagonal) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != diag.signs.shape:
         raise ValueError(f"length mismatch: vector {y.shape} vs diagonal {diag.signs.shape}")
-    return diag.signs * _fwht_inplace(y.copy())
+    out = _fwht(y)
+    out *= diag.signs
+    return out

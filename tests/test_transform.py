@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hadaquant.oracle import dense_hadamard
 from hadaquant.transform import (
+    STREAM_BASE_SIGNS,
     SignDiagonal,
     _philox_key,
     apply_hd,
     apply_hd_inverse,
     fwht_normalized,
     sample_signs,
+    stream_rng,
 )
 
 
@@ -155,3 +160,73 @@ def test_philox_key_rounding_to_2_64_stores_zero_without_warning():
     # numpy's list form stores [0, 5] here too, with an invalid-cast warning
     assert _philox_key(2**64 - 100, 5).tolist() == [0, 5]
     assert _philox_key(5, 2**64 - 100).tolist() == [5, 0]
+
+
+# The constant-geometry sweep against the in-place butterflies it replaced:
+# stage h of this sweep adds and subtracts the same operands in the same
+# order, so the two agree bit for bit, signed zeros included.
+
+
+def _reference_fwht(v):
+    v = np.array(v, dtype=np.float64)
+    d = v.shape[0]
+    h = 1
+    while h < d:
+        pairs = v.reshape(-1, 2, h)
+        a = pairs[:, 0, :]
+        b = pairs[:, 1, :]
+        diff = a - b
+        a += b
+        b[...] = diff
+        h *= 2
+    v *= d ** -0.5
+    return v
+
+
+def _assert_bit_identical(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_transforms_match_reference(x, diag):
+    _assert_bit_identical(fwht_normalized(x), _reference_fwht(x))
+    _assert_bit_identical(apply_hd(x, diag), _reference_fwht(x * diag.signs))
+    _assert_bit_identical(apply_hd_inverse(x, diag), diag.signs * _reference_fwht(x))
+
+
+# |x| <= 1e300 keeps every butterfly sum finite at d <= 2**12; the bounds
+# themselves, signed zeros and subnormals are all drawn
+_finite_vectors = st.integers(0, 12).flatmap(lambda k: hnp.arrays(
+    np.float64, 1 << k, elements=st.floats(-1e300, 1e300, allow_subnormal=True)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(x=_finite_vectors, seed=st.integers(0, 2**64 - 1))
+def test_transforms_match_reference_bit_for_bit(x, seed):
+    _assert_transforms_match_reference(x, sample_signs(seed, 0, x.shape[0]))
+
+
+def test_transforms_match_reference_at_dim_2_16():
+    x = np.random.default_rng(17).standard_normal(1 << 16)
+    _assert_transforms_match_reference(x, sample_signs(5, 6, 1 << 16))
+
+
+@pytest.mark.parametrize("d", [1, 2, 64])
+def test_transforms_leave_read_only_inputs_unchanged(d):
+    x = np.random.default_rng(18).standard_normal(d)
+    x.flags.writeable = False
+    diag = sample_signs(1, 2, d)
+    before = x.copy()
+    for out in (fwht_normalized(x), apply_hd(x, diag), apply_hd_inverse(x, diag)):
+        assert out is not x and out.flags.writeable
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 64, 4096])
+def test_sample_signs_match_generator_integers(d):
+    # the draws Generator.integers(0, 2) makes from the same stream
+    for seed in (0, 1, 2**63, 2**64 - 1):
+        for counter in range(40):
+            stream = (counter, STREAM_BASE_SIGNS)
+            want = 2.0 * stream_rng(seed, stream).integers(0, 2, size=d) - 1.0
+            assert np.array_equal(sample_signs(seed, stream, d).signs, want), (seed, counter)
