@@ -132,14 +132,15 @@ class ScalarCodebook:
     grid: np.ndarray | None = None  # quantile boundaries, biased mode only
 
 
-def _biased_grid(size: int, dither: float) -> np.ndarray:
-    # Quantile boundaries of the biased buckets: pinned endpoints, dithered
+def _biased_grid_points(j, size: int, dither: float) -> np.ndarray:
+    # Quantile boundaries j of the biased buckets: pinned endpoints, dithered
     # interior. The bucket rule and the table builder share this one helper.
-    grid = np.empty(size + 1)
-    grid[0] = 0.0
-    grid[size] = 1.0
-    grid[1:size] = (np.arange(1, size) + dither) / size
-    return grid
+    j = np.asarray(j)
+    return np.where(j == 0, 0.0, np.where(j == size, 1.0, (j + dither) / size))
+
+
+def _biased_grid(size: int, dither: float) -> np.ndarray:
+    return _biased_grid_points(np.arange(size + 1), size, dither)
 
 
 def _build_biased(size: int, dither: float) -> ScalarCodebook:
@@ -214,10 +215,16 @@ def quantize_scalar(t, mode: str, num_levels: int, dither: float):
         raise ValueError("quantize_scalar: NaN input")
     p = ndtr(t / _SQRT3)
     if mode == BIASED:
-        idx = np.searchsorted(_biased_grid(num_levels, dither), p, side="right") - 1
+        # The last grid point <= p, found without building the grid: the
+        # arithmetic guess is off by at most one bucket, so it is checked
+        # against its two grid points, computed as the grid computes them.
+        idx = np.clip(np.floor(num_levels * p - dither).astype(np.int64), 0, num_levels - 1)
+        idx -= _biased_grid_points(idx, num_levels, dither) > p
+        upper = np.minimum(idx + 1, num_levels - 1)
+        idx += (upper > idx) & (_biased_grid_points(upper, num_levels, dither) <= p)
     else:
         idx = np.floor((num_levels - 1) * p - dither).astype(np.int64) + 1
-    idx = np.clip(idx, 0, num_levels - 1)
+        idx = np.clip(idx, 0, num_levels - 1)
     return int(idx) if idx.ndim == 0 else idx
 
 

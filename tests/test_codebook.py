@@ -241,6 +241,21 @@ def _reference_unbiased(size, dither):
 
 
 BUCKET_PROBES = np.random.default_rng(25).standard_normal(400) * 3.0
+
+
+def _boundary_probes(grid):
+    # Inputs that map onto interior grid points and their 1-4 ulp neighbours,
+    # where the Gaussian probes above never land. At most 257 grid points.
+    size = grid.size - 1
+    js = np.unique(np.linspace(1, size - 1, min(size - 1, 257)).round().astype(int))
+    with np.errstate(divide="ignore"):
+        t = SQRT3 * ndtri(grid[js])
+    probes = [t]
+    up, down = t, t
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        probes += [up, down]
+    return np.concatenate(probes)
 TABLE_DITHERS = [0.0, 2.0**-53, 0.25, 0.5, 0.5 + 2.0**-53, 1.0 - 98303 * 2.0**-53,
                  1.0 - 2.0**-53] + [
     float(u) for u in np.random.default_rng(24).random(50)
@@ -263,9 +278,10 @@ def test_tables_match_reference_bit_for_bit(bits):
             assert np.array_equal(cb.recon[:-1], recon[:-1]), (size, dither)
             assert np.isfinite(cb.recon[-1]), (size, dither)
             assert cb.recon[-1] > cb.recon[-2], (size, dither)
-        p = ndtr(BUCKET_PROBES / SQRT3)
+        probes = np.concatenate([BUCKET_PROBES, _boundary_probes(grid)])
+        p = ndtr(probes / SQRT3)
         want = np.clip(np.searchsorted(grid, p, side="right") - 1, 0, size - 1)
-        assert np.array_equal(quantize_scalar(BUCKET_PROBES, BIASED, size, dither), want)
+        assert np.array_equal(quantize_scalar(probes, BIASED, size, dither), want), (size, dither)
         recon, _ = _reference_unbiased(size, dither)
         assert np.array_equal(build_codebook(UNBIASED, size, dither).recon, recon), (size, dither)
 
