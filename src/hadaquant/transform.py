@@ -67,10 +67,10 @@ def stream_rng(seed: int, stream_id) -> np.random.Generator:
 
 
 def _philox_key(key_lo: int, key_hi: int) -> np.ndarray:
-    # The key every stream has always used. It was once passed as the list
-    # [key_lo, key_hi], from which numpy infers float64 when exactly one word
-    # is >= 2**63: both words are then rounded to 53 bits, and a word that
-    # rounds to 2**64 is stored as 0. That rounding is part of the streams.
+    # The key numpy derives from the list [key_lo, key_hi]: when exactly one
+    # word is >= 2**63 it infers float64, so both words are rounded to 53
+    # bits, and a word that rounds to 2**64 is stored as 0. Every payload's
+    # streams carry that rounding, so it is kept, made explicit.
     if (key_lo >> 63) != (key_hi >> 63):
         key_lo, key_hi = (int(float(w)) & _MASK64 for w in (key_lo, key_hi))
     return np.array([key_lo, key_hi], dtype=np.uint64)

@@ -256,6 +256,8 @@ def _boundary_probes(grid):
         up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
         probes += [up, down]
     return np.concatenate(probes)
+
+
 TABLE_DITHERS = [0.0, 2.0**-53, 0.25, 0.5, 0.5 + 2.0**-53, 1.0 - 98303 * 2.0**-53,
                  1.0 - 2.0**-53] + [
     float(u) for u in np.random.default_rng(24).random(50)
