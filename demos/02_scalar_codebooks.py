@@ -9,19 +9,18 @@ the input exactly.
 
 import numpy as np
 
-from hadaquant import BIASED, UNBIASED, build_codebook, quantize_scalar, reconstruct_scalar
+from hadaquant import BIASED, UNBIASED, build_codebook, quantize_scalar
 
 rng = np.random.default_rng(1)
 
 print("== a biased codebook at 3 bits, dither 0.4 ==")
-cb = build_codebook(BIASED, 8, 0.4)
-print("quantile grid :", np.round(cb.grid, 4))
-print("reconstruction:", np.round(cb.recon, 4))
+table = build_codebook(BIASED, 8, 0.4)
+print("reconstruction:", np.round(table, 4))
 
 print("\n== sample values through it ==")
 for t in (-2.0, -0.3, 0.0, 1.7):
     j = quantize_scalar(t, BIASED, 8, 0.4)
-    print(f"t = {t:+.2f} -> bucket {j} -> {reconstruct_scalar(j, cb):+.4f}")
+    print(f"t = {t:+.2f} -> bucket {j} -> {table[j]:+.4f}")
 
 print("\n== the unbiased rule kills the systematic error ==")
 from hadaquant.codebook import cdf
@@ -33,8 +32,7 @@ for mode in (BIASED, UNBIASED):
     jumps = [(size * cdf(t)) % 1.0, ((size - 1) * cdf(t)) % 1.0, 0.5]
 
     def recon_of_dither(u, mode=mode):
-        cb_mode = build_codebook(mode, size, u)
-        return reconstruct_scalar(quantize_scalar(t, mode, size, u), cb_mode)
+        return build_codebook(mode, size, u)[quantize_scalar(t, mode, size, u)]
 
     avg = u_average(recon_of_dither, breakpoints=jumps)
     print(f"{mode:>8s}: dither-averaged reconstruction of t={t} = {avg:+.7f}")
@@ -43,8 +41,8 @@ print("\n== distortion constant at 8 bits ==")
 size = 256
 z = rng.standard_normal(500_000)
 u = rng.random(500_000)
-from hadaquant.codebook import _biased_quant_direct
+from hadaquant.oracle import biased_quant_direct
 
-err = z - _biased_quant_direct(z, u, size)
+err = z - biased_quant_direct(z, u, size)
 print(f"size^2 * E(z - quant z)^2 = {size**2 * np.mean(err**2):.4f}")
 print(f"theoretical coefficient    = {np.pi * np.sqrt(3) / 2:.4f}  (pi*sqrt(3)/2)")

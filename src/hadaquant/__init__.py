@@ -8,17 +8,12 @@ bit-exact wire format whose payload never exceeds dim*bits + 3.73*dim bits.
 from .codebook import (
     BIASED,
     UNBIASED,
-    ScalarCodebook,
     build_codebook,
     cdf,
     inv_cdf,
-    pdf,
     quantize_scalar,
-    reconstruct_scalar,
-    unbiased_recon,
 )
 from .transform import (
-    SignDiagonal,
     apply_hd,
     apply_hd_inverse,
     fwht_normalized,
@@ -48,8 +43,6 @@ __all__ = [
     "BIASED",
     "UNBIASED",
     "QuantConfig",
-    "ScalarCodebook",
-    "SignDiagonal",
     "VectorCode",
     "ResidualCode",
     "TwoStageCode",
@@ -64,19 +57,16 @@ __all__ = [
     "estimate_inner_product",
     "fwht_normalized",
     "inv_cdf",
-    "pdf",
     "project_unit_ball",
     "quantize_scalar",
     "quantize_two_stage",
     "rate_report",
-    "reconstruct_scalar",
     "residual_dequant",
     "residual_quant",
     "sample_signs",
     "scalar_dequant",
     "scalar_quant",
     "stream_rng",
-    "unbiased_recon",
     "vector_dequant",
     "vector_quant",
 ]

@@ -15,7 +15,6 @@ are built only to decode. Two reconstruction rules are supported:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -51,15 +50,8 @@ def inv_cdf(p):
     return float(out) if out.ndim == 0 else out
 
 
-def pdf(t):
-    """Density of the reference Gaussian, i.e. the derivative of cdf."""
-    t = np.asarray(t, dtype=np.float64)
-    out = _PDF_NORM * np.exp(-t * t / 6.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def _inv_cdf_slope(s: np.ndarray) -> np.ndarray:
-    # (inv_cdf)'(s) = 1 / pdf(inv_cdf(s)); +inf outside (0, 1), which keeps
+    # (inv_cdf)'(s) = 1 / density(inv_cdf(s)); +inf outside (0, 1), which keeps
     # divergent sums well-defined instead of raising. The operations of
     # 1 / (_PDF_NORM * exp(-(_SQRT3 * ndtri(s))**2 / 6)), in that order, run in
     # place on one buffer: at 2**16 entries the temporaries cost as much as
@@ -82,56 +74,6 @@ def _inv_cdf_slope(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_cell(r: float, spacing: float):
-    # Canonical decomposition r = u + k*spacing with u in the central cell
-    # ((1-spacing)/2, (1+spacing)/2]; top boundary inclusive. The 1e-12
-    # nudge keeps arguments that are exact cell boundaries on the intended
-    # side of the ceiling.
-    k = math.ceil((r - (1.0 + spacing) / 2.0) / spacing - 1e-12)
-    return r - k * spacing, k
-
-
-def unbiased_recon(r: float, num_levels: int) -> float:
-    """Reconstruction map for the unbiased codebook.
-
-    A piecewise-shifted copy of inv_cdf built from midpoint slopes, with
-    spacing 1/(num_levels - 1). Its defining property: the average over any
-    spacing-wide window centered at c in (0, 1) equals inv_cdf(c). Defined
-    on [-spacing/2, 1 + spacing/2]; at the exact endpoints the one-sided
-    limits diverge, so -inf/+inf is returned there.
-    """
-    if num_levels < 2:
-        raise ValueError(f"num_levels must be >= 2, got {num_levels}")
-    spacing = 1.0 / (num_levels - 1)
-    r = float(r)
-    if math.isnan(r) or r < -spacing / 2 - 1e-12 or r > 1.0 + spacing / 2 + 1e-12:
-        raise ValueError(f"unbiased_recon: {r} outside [{-spacing/2}, {1 + spacing/2}]")
-    u, k = _split_cell(r, spacing)
-    if u >= 1.0:
-        # Possible only at num_levels == 2 cell tops; the pointwise formula
-        # anchors at inv_cdf(1).
-        return math.inf
-    base = inv_cdf(u)
-    if k == 0:
-        return base
-    if k > 0:
-        mids = u + (np.arange(k) + 0.5) * spacing
-        return float(base + spacing * np.sum(_inv_cdf_slope(mids)))
-    mids = u + (np.arange(k, 0) + 0.5) * spacing
-    return float(base - spacing * np.sum(_inv_cdf_slope(mids)))
-
-
-@dataclass(frozen=True)
-class ScalarCodebook:
-    """Bucket tables for one (mode, size, dither offset)."""
-
-    mode: str
-    size: int
-    dither: float
-    recon: np.ndarray
-    grid: np.ndarray | None = None  # quantile boundaries, biased mode only
-
-
 def _biased_grid_points(j, size: int, dither: float) -> np.ndarray:
     # Quantile boundaries j of the biased buckets: pinned endpoints, dithered
     # interior. The bucket rule and the table builder share this one helper.
@@ -139,12 +81,8 @@ def _biased_grid_points(j, size: int, dither: float) -> np.ndarray:
     return np.where(j == 0, 0.0, np.where(j == size, 1.0, (j + dither) / size))
 
 
-def _biased_grid(size: int, dither: float) -> np.ndarray:
-    return _biased_grid_points(np.arange(size + 1), size, dither)
-
-
-def _build_biased(size: int, dither: float) -> ScalarCodebook:
-    grid = _biased_grid(size, dither)
+def _build_biased(size: int, dither: float) -> np.ndarray:
+    grid = _biased_grid_points(np.arange(size + 1), size, dither)
     mids = (grid[:-1] + grid[1:]) / 2.0
     recon = np.empty(size)
     recon[:-1] = inv_cdf(mids[:-1])
@@ -153,10 +91,10 @@ def _build_biased(size: int, dither: float) -> ScalarCodebook:
     # upper tail, as inv_cdf(1 - q) = -inv_cdf(q).
     top = mids[-1]
     recon[-1] = inv_cdf(top) if top < 1.0 else -inv_cdf((1.0 - dither) / (2 * size))
-    return ScalarCodebook(BIASED, size, dither, recon, grid)
+    return recon
 
 
-def _build_unbiased(size: int, dither: float) -> ScalarCodebook:
+def _build_unbiased(size: int, dither: float) -> np.ndarray:
     spacing = 1.0 / (size - 1)
     # Reconstruction arguments (j + dither - 1/2) * spacing share one cell
     # representative u, at cell offsets k0 .. k0 + size - 1 with k0 <= 0, so
@@ -183,7 +121,7 @@ def _build_unbiased(size: int, dither: float) -> ScalarCodebook:
         for j in range(1, size):
             if recon[j] <= recon[j - 1]:
                 recon[j] = recon[j - 1] + 1.0
-    return ScalarCodebook(UNBIASED, size, dither, recon)
+    return recon
 
 
 def _check_args(mode: str, num_levels: int, dither: float) -> None:
@@ -195,8 +133,11 @@ def _check_args(mode: str, num_levels: int, dither: float) -> None:
         raise ValueError(f"dither must lie in [0, 1), got {dither}")
 
 
-def build_codebook(mode: str, num_levels: int, dither: float) -> ScalarCodebook:
-    """Construct the scalar codebook for a bucket count and dither offset in [0, 1)."""
+def build_codebook(mode: str, num_levels: int, dither: float) -> np.ndarray:
+    """Reconstruction table for a bucket count and dither offset in [0, 1).
+
+    Entry j is the value bucket j of ``quantize_scalar`` decodes to.
+    """
     _check_args(mode, num_levels, dither)
     if mode == BIASED:
         return _build_biased(num_levels, dither)
@@ -226,27 +167,3 @@ def quantize_scalar(t, mode: str, num_levels: int, dither: float):
         idx = np.floor((num_levels - 1) * p - dither).astype(np.int64) + 1
         idx = np.clip(idx, 0, num_levels - 1)
     return int(idx) if idx.ndim == 0 else idx
-
-
-def reconstruct_scalar(index, cb: ScalarCodebook):
-    """Reconstruction value for a bucket index (scalar or array)."""
-    index = np.asarray(index)
-    if index.size and (index.min() < 0 or index.max() >= cb.size):
-        raise ValueError(f"bucket index out of range [0, {cb.size})")
-    out = cb.recon[index]
-    return float(out) if out.ndim == 0 else out
-
-
-def _biased_quant_direct(t, dither, num_levels: int):
-    """Grid-free biased-mode reconstruction of t, vectorized over both t and dither.
-
-    Same quantization rule as the table path (used to cross-check it and to
-    run fresh-dither Monte Carlo sweeps without rebuilding tables).
-    """
-    t = np.asarray(t, dtype=np.float64)
-    dither = np.asarray(dither, dtype=np.float64)
-    p = ndtr(t / _SQRT3)
-    idx = np.clip(np.floor(num_levels * p - dither), 0, num_levels - 1)
-    left = np.where(idx == 0, 0.0, (idx + dither) / num_levels)
-    right = np.where(idx == num_levels - 1, 1.0, (idx + 1 + dither) / num_levels)
-    return _SQRT3 * ndtri((left + right) / 2.0)

@@ -18,8 +18,6 @@ included, while every stage is two calls over d/2 entries rather than d/2h
 short loops of length h.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -46,12 +44,6 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _as_stream_tuple(stream_id) -> tuple:
-    if isinstance(stream_id, tuple):
-        return tuple(int(t) for t in stream_id)
-    return (int(stream_id),)
-
-
 def stream_rng(seed: int, stream_id) -> np.random.Generator:
     """Counter-based generator for the stream keyed by (seed, stream_id).
 
@@ -60,8 +52,8 @@ def stream_rng(seed: int, stream_id) -> np.random.Generator:
     the same (seed, stream_id) always reproduces the same stream.
     """
     key_lo = _mix64(int(seed))
-    for token in _as_stream_tuple(stream_id):
-        key_lo = _mix64(key_lo ^ _mix64(token))
+    for token in stream_id if isinstance(stream_id, tuple) else (stream_id,):
+        key_lo = _mix64(key_lo ^ _mix64(int(token)))
     key_hi = _mix64(key_lo ^ 0x9E3779B97F4A7C15)
     return np.random.Generator(np.random.Philox(key=_philox_key(key_lo, key_hi)))
 
@@ -76,30 +68,8 @@ def _philox_key(key_lo: int, key_hi: int) -> np.ndarray:
     return np.array([key_lo, key_hi], dtype=np.uint64)
 
 
-@dataclass(frozen=True)
-class SignDiagonal:
-    """A +-1 diagonal plus the tokens it was derived from."""
-
-    signs: np.ndarray
-    seed: int = 0
-    stream_id: tuple = field(default=())
-
-    def __post_init__(self):
-        signs = np.asarray(self.signs, dtype=np.float64)
-        if not is_power_of_two(signs.shape[0] if signs.ndim == 1 else 0):
-            raise ValueError(
-                f"sign diagonal length must be a power of two, got shape {signs.shape}"
-            )
-        if not np.all(np.abs(signs) == 1.0):
-            raise ValueError("sign diagonal entries must be exactly -1 or +1")
-        object.__setattr__(self, "signs", signs)
-
-    def __len__(self) -> int:
-        return self.signs.shape[0]
-
-
-def sample_signs(seed: int, stream_id, d: int) -> SignDiagonal:
-    """Draw d independent random signs, reproducibly keyed by (seed, stream_id).
+def sample_signs(seed: int, stream_id, d: int) -> np.ndarray:
+    """Draw d independent random +-1.0 signs, reproducibly keyed by (seed, stream_id).
 
     Sign j is +1 when the top bit of the j-th 32-bit half of the stream's raw
     64-bit words is set, low half first. These are the draws of
@@ -111,8 +81,7 @@ def sample_signs(seed: int, stream_id, d: int) -> SignDiagonal:
         raise ValueError(f"dimension must be a power of two, got {d}")
     raw = stream_rng(seed, stream_id).bit_generator.random_raw((d + 1) // 2)
     halves = raw.astype("<u8").view("<i4")[:d]
-    signs = np.where(halves < 0, 1.0, -1.0)
-    return SignDiagonal(signs=signs, seed=int(seed), stream_id=_as_stream_tuple(stream_id))
+    return np.where(halves < 0, 1.0, -1.0)
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
@@ -149,19 +118,29 @@ def fwht_normalized(v) -> np.ndarray:
     return _fwht(v)
 
 
-def apply_hd(x, diag: SignDiagonal) -> np.ndarray:
-    """Randomly flip signs then mix: returns H (D x) for the sign diagonal D."""
+def _check_signs(signs, v: np.ndarray) -> np.ndarray:
+    # The sign diagonal as float64: a +-1 vector of power-of-two length
+    # matching v.
+    signs = np.asarray(signs, dtype=np.float64)
+    if signs.ndim != 1 or not is_power_of_two(signs.shape[0]):
+        raise ValueError(f"sign diagonal length must be a power of two, got shape {signs.shape}")
+    if v.shape != signs.shape:
+        raise ValueError(f"length mismatch: vector {v.shape} vs diagonal {signs.shape}")
+    if not np.all(np.abs(signs) == 1.0):
+        raise ValueError("sign diagonal entries must be exactly -1 or +1")
+    return signs
+
+
+def apply_hd(x, signs) -> np.ndarray:
+    """Randomly flip signs then mix: returns H (D x) for the +-1 diagonal D = signs."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != diag.signs.shape:
-        raise ValueError(f"length mismatch: vector {x.shape} vs diagonal {diag.signs.shape}")
-    return _fwht(x * diag.signs)
+    return _fwht(x * _check_signs(signs, x))
 
 
-def apply_hd_inverse(y, diag: SignDiagonal) -> np.ndarray:
+def apply_hd_inverse(y, signs) -> np.ndarray:
     """Exact inverse of apply_hd: returns D (H^T y); H^T = H here."""
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != diag.signs.shape:
-        raise ValueError(f"length mismatch: vector {y.shape} vs diagonal {diag.signs.shape}")
+    signs = _check_signs(signs, y)
     out = _fwht(y)
-    out *= diag.signs
+    out *= signs
     return out

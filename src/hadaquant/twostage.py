@@ -32,12 +32,9 @@ class TwoStageCode:
 
 
 def project_unit_ball(v) -> np.ndarray:
-    """Identity inside the unit ball, radial projection outside."""
+    """Identity inside the unit ball, radial projection outside; always a new array."""
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= 1.0:
-        return v.copy()
-    return v / norm
+    return v / max(1.0, float(np.linalg.norm(v)))
 
 
 def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> TwoStageCode:
@@ -78,4 +75,6 @@ def estimate_inner_product(code: TwoStageCode, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != code.config.dim:
         raise ValueError(f"expected a vector of length {code.config.dim}, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("query vector has NaN or infinite coordinates")
     return float(y @ dequantize_two_stage(code))

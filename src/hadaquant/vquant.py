@@ -101,16 +101,8 @@ def _reject_overflowing_decode(norm: float, decode) -> None:
             raise ValueError("decoding this vector would exceed the float64 range")
 
 
-def _pad(x: np.ndarray, padded_dim: int) -> np.ndarray:
-    if x.shape[0] == padded_dim:
-        return x
-    out = np.zeros(padded_dim)
-    out[: x.shape[0]] = x
-    return out
-
-
 def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
-    # vector_quant, also returning the (sign diagonal, dither) it derived, so
+    # vector_quant, also returning the (signs, dither) it derived, so
     # that the two-stage codec decodes its base stage without re-deriving
     # them; the draws are None for the zero vector, which derives nothing.
     x = np.asarray(x, dtype=np.float64)
@@ -122,13 +114,15 @@ def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
     if norm == 0.0:
         indices = np.zeros(config.padded_dim, dtype=np.uint16)
         return VectorCode(indices, 0.0, int(seed), int(vec_counter)), None
-    diag = derive_base_signs(seed, vec_counter, config.padded_dim)
+    signs = derive_base_signs(seed, vec_counter, config.padded_dim)
     dither = derive_dither(seed, vec_counter)
-    z = math.sqrt(config.padded_dim) * apply_hd(_pad(x / norm, config.padded_dim), diag)
+    unit = np.zeros(config.padded_dim)
+    unit[: config.dim] = x / norm
+    z = math.sqrt(config.padded_dim) * apply_hd(unit, signs)
     indices = quantize_scalar(z, config.mode, config.num_levels, dither).astype(np.uint16)
     code = VectorCode(indices, norm, int(seed), int(vec_counter))
     _reject_overflowing_decode(norm, lambda: vector_dequant(code, config))
-    return code, (diag, dither)
+    return code, (signs, dither)
 
 
 def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorCode:
@@ -142,16 +136,19 @@ def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorC
 def _decode_padded_unit(code: VectorCode, config: QuantConfig, draws=None) -> np.ndarray:
     # Reconstruction of the unit direction in padded space (no norm scaling,
     # no truncation); shared by the plain decoder and the two-stage codec.
-    # draws is the (sign diagonal, dither) pair of the code, if already known.
+    # Both reach it for every nonzero norm, so it rejects the norms no encode
+    # makes. draws is the (signs, dither) pair of the code, if already known.
+    if not (math.isfinite(code.norm) and code.norm >= 0.0):
+        raise ValueError(f"stored norm must be finite and >= 0, got {code.norm}")
     if draws is None:
         draws = (
             derive_base_signs(code.seed, code.vec_counter, config.padded_dim),
             derive_dither(code.seed, code.vec_counter),
         )
-    diag, dither = draws
-    cb = build_codebook(config.mode, config.num_levels, dither)
-    y = cb.recon[code.indices] / math.sqrt(config.padded_dim)
-    return apply_hd_inverse(y, diag)
+    signs, dither = draws
+    table = build_codebook(config.mode, config.num_levels, dither)
+    y = table[code.indices] / math.sqrt(config.padded_dim)
+    return apply_hd_inverse(y, signs)
 
 
 def vector_dequant(code: VectorCode, config: QuantConfig) -> np.ndarray:

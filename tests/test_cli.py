@@ -57,10 +57,10 @@ def test_quantize_dequantize_files(tmp_path):
         unit = np.zeros(d)
         unit[:48] = vecs[i] / np.linalg.norm(vecs[i])
         diag = derive_base_signs(code.base.seed, code.base.vec_counter, d)
-        cb = build_codebook(cfg.mode, cfg.num_levels,
+        table = build_codebook(cfg.mode, cfg.num_levels,
                             derive_dither(code.base.seed, code.base.vec_counter))
         z = math.sqrt(d) * apply_hd(unit, diag)
-        recon = cb.recon[code.base.indices]
+        recon = table[code.base.indices]
         from hadaquant.vquant import _decode_padded_unit
 
         base_err = float(np.sum((unit - _decode_padded_unit(code.base, cfg)) ** 2))

@@ -8,21 +8,24 @@ from scipy.special import ndtr, ndtri
 from hadaquant.codebook import (
     BIASED,
     UNBIASED,
-    _biased_quant_direct,
+    _biased_grid_points,
     build_codebook,
     cdf,
     inv_cdf,
-    pdf,
     quantize_scalar,
-    reconstruct_scalar,
+)
+from hadaquant.oracle import (
+    biased_quant_direct,
+    normal_cdf_oracle,
+    normal_quantile_oracle,
+    u_average,
     unbiased_recon,
 )
-from hadaquant.oracle import normal_cdf_oracle, normal_quantile_oracle, u_average
 
 SQRT3 = math.sqrt(3.0)
 
 
-# --- cdf / inv_cdf / pdf ----------------------------------------------------
+# --- cdf / inv_cdf --------------------------------------------------------
 
 
 def test_cdf_at_zero():
@@ -72,19 +75,6 @@ def test_inv_cdf_rejects_boundary():
 def test_cdf_rejects_nan():
     with pytest.raises(ValueError):
         cdf(math.nan)
-
-
-def test_pdf_closed_form_and_symmetry():
-    assert pdf(0.0) == pytest.approx(1.0 / math.sqrt(6.0 * math.pi), abs=1e-15)
-    for t in np.linspace(0.0, 6.0, 13):
-        assert pdf(t) == pdf(-t)
-
-
-def test_pdf_matches_finite_difference():
-    h = 1e-5
-    for t in np.linspace(-5.0, 5.0, 41):
-        fd = (cdf(t + h) - cdf(t - h)) / (2 * h)
-        assert pdf(t) == pytest.approx(fd, abs=1e-6)
 
 
 # --- the unbiased reconstruction map ----------------------------------------
@@ -138,11 +128,11 @@ def test_unbiased_build_matches_pointwise_map():
     rng = np.random.default_rng(23)
     for size in (2, 4, 8, 64):
         for dither in (0.25, 0.75, float(rng.random()), float(rng.random())):
-            cb = build_codebook(UNBIASED, size, dither)
+            table = build_codebook(UNBIASED, size, dither)
             spacing = 1.0 / (size - 1)
             for j in range(size):
                 direct = unbiased_recon((j + dither - 0.5) * spacing, size)
-                assert cb.recon[j] == pytest.approx(direct, abs=1e-12), (size, dither, j)
+                assert table[j] == pytest.approx(direct, abs=1e-12), (size, dither, j)
 
 
 def test_recon_map_domain():
@@ -161,23 +151,22 @@ def test_recon_map_domain():
 
 
 def test_biased_two_level_tables():
-    cb = build_codebook(BIASED, 2, 0.0)
-    assert np.array_equal(cb.grid, [0.0, 0.5, 1.0])
+    assert np.array_equal(_biased_grid_points(np.arange(3), 2, 0.0), [0.0, 0.5, 1.0])
     want = SQRT3 * normal_quantile_oracle(0.75)
-    assert cb.recon == pytest.approx([-want, want], abs=1e-9)
+    assert build_codebook(BIASED, 2, 0.0) == pytest.approx([-want, want], abs=1e-9)
 
 
 def test_biased_grid_with_half_dither():
-    cb = build_codebook(BIASED, 4, 0.5)
-    assert cb.grid == pytest.approx([0.0, 0.375, 0.625, 0.875, 1.0], abs=0)
+    grid = _biased_grid_points(np.arange(5), 4, 0.5)
+    assert grid == pytest.approx([0.0, 0.375, 0.625, 0.875, 1.0], abs=0)
 
 
 def test_recon_strictly_increasing_all_modes():
     for mode in (BIASED, UNBIASED):
         for size in (2, 4, 16, 64):
             for dither in (0.0, 0.123, 0.5, 0.999):
-                cb = build_codebook(mode, size, dither)
-                assert np.all(np.diff(cb.recon) > 0), (mode, size, dither)
+                table = build_codebook(mode, size, dither)
+                assert np.all(np.diff(table) > 0), (mode, size, dither)
 
 
 def test_biased_interior_mirror_symmetry():
@@ -185,8 +174,8 @@ def test_biased_interior_mirror_symmetry():
     # buckets mirror exactly under dither -> 1 - dither
     size = 8
     for dither in (0.2, 0.7):
-        a = build_codebook(BIASED, size, dither).recon
-        b = build_codebook(BIASED, size, 1.0 - dither).recon
+        a = build_codebook(BIASED, size, dither)
+        b = build_codebook(BIASED, size, 1.0 - dither)
         for j in range(1, size - 2):
             assert a[j] == pytest.approx(-b[size - 2 - j], abs=1e-12)
 
@@ -269,23 +258,24 @@ def test_tables_match_reference_bit_for_bit(bits):
     size = 1 << bits
     for dither in TABLE_DITHERS:
         grid, recon = _reference_biased(size, dither)
-        cb = build_codebook(BIASED, size, dither)
-        assert np.array_equal(cb.grid, grid), (size, dither)
+        table = build_codebook(BIASED, size, dither)
+        points = _biased_grid_points(np.arange(size + 1), size, dither)
+        assert np.array_equal(points, grid), (size, dither)
         if np.all(np.isfinite(recon)):
-            assert np.array_equal(cb.recon, recon), (size, dither)
+            assert np.array_equal(table, recon), (size, dither)
         else:
             # the top bucket's midpoint rounds to 1.0 (at bits=16 for every
             # dither >= 1 - 98303 * 2**-53); only that entry leaves the
             # reference, and stays finite
-            assert np.array_equal(cb.recon[:-1], recon[:-1]), (size, dither)
-            assert np.isfinite(cb.recon[-1]), (size, dither)
-            assert cb.recon[-1] > cb.recon[-2], (size, dither)
+            assert np.array_equal(table[:-1], recon[:-1]), (size, dither)
+            assert np.isfinite(table[-1]), (size, dither)
+            assert table[-1] > table[-2], (size, dither)
         probes = np.concatenate([BUCKET_PROBES, _boundary_probes(grid)])
         p = ndtr(probes / SQRT3)
         want = np.clip(np.searchsorted(grid, p, side="right") - 1, 0, size - 1)
         assert np.array_equal(quantize_scalar(probes, BIASED, size, dither), want), (size, dither)
         recon, _ = _reference_unbiased(size, dither)
-        assert np.array_equal(build_codebook(UNBIASED, size, dither).recon, recon), (size, dither)
+        assert np.array_equal(build_codebook(UNBIASED, size, dither), recon), (size, dither)
 
 
 def test_tables_match_reference_on_saturation_branch():
@@ -294,7 +284,7 @@ def test_tables_match_reference_on_saturation_branch():
     for size, dither in cases:
         recon, saturated = _reference_unbiased(size, dither)
         assert saturated, (size, dither)
-        assert np.array_equal(build_codebook(UNBIASED, size, dither).recon, recon), (size, dither)
+        assert np.array_equal(build_codebook(UNBIASED, size, dither), recon), (size, dither)
 
 
 def test_build_rejects_bad_args():
@@ -341,15 +331,10 @@ def test_quantize_rejects_bad_args():
 
 
 def test_reconstruct_roundtrip_and_monotone():
-    cb = build_codebook(BIASED, 16, 0.3)
-    vals = [reconstruct_scalar(j, cb) for j in range(16)]
+    vals = build_codebook(BIASED, 16, 0.3)
     assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
     for j in range(16):
         assert quantize_scalar(vals[j], BIASED, 16, 0.3) == j
-    with pytest.raises(ValueError):
-        reconstruct_scalar(16, cb)
-    with pytest.raises(ValueError):
-        reconstruct_scalar(-1, cb)
 
 
 def test_biased_direct_path_matches_tables():
@@ -358,12 +343,11 @@ def test_biased_direct_path_matches_tables():
         t = rng.standard_normal(300) * 2.5
         u = rng.random(300)
         direct = np.array(
-            [_biased_quant_direct(ti, ui, size) for ti, ui in zip(t, u)]
+            [biased_quant_direct(ti, ui, size) for ti, ui in zip(t, u)]
         )
         tables = np.array(
             [
-                reconstruct_scalar(quantize_scalar(ti, BIASED, size, ui),
-                                   build_codebook(BIASED, size, ui))
+                build_codebook(BIASED, size, ui)[quantize_scalar(ti, BIASED, size, ui)]
                 for ti, ui in zip(t, u)
             ]
         )
@@ -382,8 +366,7 @@ def test_unbiased_dither_average_recovers_input():
         for t in np.linspace(-6.0, 6.0, 13):
 
             def recon_of_dither(u, t=float(t), size=size):
-                cb = build_codebook(UNBIASED, size, u)
-                return reconstruct_scalar(quantize_scalar(t, UNBIASED, size, u), cb)
+                return build_codebook(UNBIASED, size, u)[quantize_scalar(t, UNBIASED, size, u)]
 
             avg = u_average(recon_of_dither, breakpoints=_dither_jumps(t, size))
             assert avg == pytest.approx(float(t), abs=1e-6), (size, t)
@@ -396,7 +379,7 @@ def test_scalar_mse_constant_monte_carlo():
     rng = np.random.default_rng(2024)
     z = rng.standard_normal(1_000_000)
     u = rng.random(1_000_000)
-    err = z - _biased_quant_direct(z, u, size)
+    err = z - biased_quant_direct(z, u, size)
     stat = size**2 * float(np.mean(err * err))
     assert 2.55 <= stat <= 2.90, stat
 
@@ -405,8 +388,9 @@ def test_crude_envelope():
     rng = np.random.default_rng(22)
     for mode in (BIASED, UNBIASED):
         for _ in range(20):
-            cb = build_codebook(mode, 16, float(rng.random()))
-            cap = max(abs(cb.recon[0]), abs(cb.recon[-1]))
+            dither = float(rng.random())
+            table = build_codebook(mode, 16, dither)
+            cap = max(abs(table[0]), abs(table[-1]))
             t = rng.standard_normal(50) * 10
-            vals = reconstruct_scalar(quantize_scalar(t, mode, 16, cb.dither), cb)
+            vals = table[quantize_scalar(t, mode, 16, dither)]
             assert np.all(np.abs(vals) <= cap)

@@ -79,3 +79,18 @@ def test_any_finite_vector_decodes_finite(dim, bits, mode, seed, vec_counter, da
         # the norm only scales: a decode is all-zero exactly when the input
         # is zero or its unit direction decodes to zero
         assert decoded.any() == (x.any() and unit.any())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -2.0])
+def test_decoders_reject_bad_stored_norms(bad):
+    # no encode makes such a norm, and the wire format rejects it; a decode
+    # gave NaN, inf or a silently negated vector
+    cfg = QuantConfig(dim=8, bits=4)
+    x = np.arange(1.0, 9.0)
+    code = vector_quant(x, cfg, seed=3, vec_counter=1)
+    with pytest.raises(ValueError, match="stored norm"):
+        vector_dequant(dataclasses.replace(code, norm=bad), cfg)
+    two = quantize_two_stage(x, cfg, seed=3, vec_counter=1)
+    two = dataclasses.replace(two, base=dataclasses.replace(two.base, norm=bad))
+    with pytest.raises(ValueError, match="stored norm"):
+        dequantize_two_stage(two)

@@ -111,7 +111,7 @@ def test_conditional_unbiasedness_monte_carlo():
     trials = 100_000
     rng = stream_rng(777, 0)
     signs = np.where(rng.random((trials, d)) < p_plus, 1, -1)
-    decoded = (signs * radius) @ dense_hadamard(d) * diag.signs
+    decoded = (signs * radius) @ dense_hadamard(d) * diag
     for row in range(5):
         prod = residual_dequant(
             ResidualCode(code.scale_idx, code.levels, signs[row].astype(np.int8)), 16, 3, 0

@@ -67,7 +67,7 @@ def test_seed_determinism_byte_identical():
 def test_stage_streams_are_separated():
     base = derive_base_signs(77, 9, 64)
     resid = derive_residual_signs(77, 9, 64)
-    assert not np.array_equal(base.signs, resid.signs)
+    assert not np.array_equal(base, resid)
 
 
 def test_trivial_residual_decodes_to_projected_base():
@@ -134,3 +134,15 @@ def test_rejects_non_unit_and_bad_shapes():
     )
     with pytest.raises(ValueError):
         dequantize_two_stage(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_estimate_rejects_non_finite_query(bad):
+    cfg = QuantConfig(dim=8, bits=4)
+    code = quantize_two_stage(_unit(np.random.default_rng(70), 8), cfg, 0, 0)
+    y = np.ones(8)
+    y[3] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        estimate_inner_product(code, y)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        estimate_inner_product(code, np.full(8, bad))

@@ -83,13 +83,13 @@ def test_matches_manual_pipeline():
     padded[:12] = x / norm
     diag = derive_base_signs(17, 2, cfg.padded_dim)
     dither = derive_dither(17, 2)
-    cb = build_codebook(cfg.mode, cfg.num_levels, dither)
+    table = build_codebook(cfg.mode, cfg.num_levels, dither)
     z = math.sqrt(cfg.padded_dim) * apply_hd(padded, diag)
     indices = quantize_scalar(z, cfg.mode, cfg.num_levels, dither)
     assert np.array_equal(code.indices, indices.astype(np.uint16))
     assert code.norm == pytest.approx(norm, abs=0)
     decoded = vector_dequant(code, cfg)
-    manual = norm * apply_hd_inverse(cb.recon[code.indices] / math.sqrt(cfg.padded_dim), diag)
+    manual = norm * apply_hd_inverse(table[code.indices] / math.sqrt(cfg.padded_dim), diag)
     assert np.array_equal(decoded, manual[:12])
 
 
@@ -103,8 +103,8 @@ def test_dither_quadrature_unbiasedness_at_fixed_signs():
     jumps = [((cfg.num_levels - 1) * cdf(float(zi))) % 1.0 for zi in z] + [0.5]
 
     def decoded_of_dither(u):
-        cb = build_codebook(UNBIASED, cfg.num_levels, u)
-        y = cb.recon[quantize_scalar(z, UNBIASED, cfg.num_levels, u)] / math.sqrt(8)
+        table = build_codebook(UNBIASED, cfg.num_levels, u)
+        y = table[quantize_scalar(z, UNBIASED, cfg.num_levels, u)] / math.sqrt(8)
         return apply_hd_inverse(y, diag)
 
     avg = u_average(decoded_of_dither, breakpoints=jumps)
@@ -120,9 +120,9 @@ def test_orthogonality_decomposition():
         code = vector_quant(x, cfg, seed=31, vec_counter=trial)
         decoded = vector_dequant(code, cfg)
         diag = derive_base_signs(31, trial, 64)
-        cb = build_codebook(cfg.mode, cfg.num_levels, derive_dither(31, trial))
+        table = build_codebook(cfg.mode, cfg.num_levels, derive_dither(31, trial))
         z = math.sqrt(64) * apply_hd(x / code.norm, diag)
-        transform_domain = float(np.sum((z - cb.recon[code.indices]) ** 2)) / 64
+        transform_domain = float(np.sum((z - table[code.indices]) ** 2)) / 64
         direct = float(np.sum((x / code.norm - decoded / code.norm) ** 2))
         assert direct == pytest.approx(transform_domain, rel=1e-9)
 
@@ -136,16 +136,13 @@ def test_exact_small_instance_expectation_matches_monte_carlo():
 
     exact = 0.0
     for pattern in range(16):
-        eps = 1.0 - 2.0 * ((pattern >> np.arange(4)) & 1)
-        from hadaquant.transform import SignDiagonal
-
-        diag = SignDiagonal(eps.astype(np.float64))
+        diag = 1.0 - 2.0 * ((pattern >> np.arange(4)) & 1)
         z = 2.0 * apply_hd(x, diag)
         jumps = [((size - 1) * cdf(float(zi))) % 1.0 for zi in z] + [0.5]
 
         def sq_error_of_dither(u):
-            cb = build_codebook(UNBIASED, size, u)
-            y = cb.recon[quantize_scalar(z, UNBIASED, size, u)] / 2.0
+            table = build_codebook(UNBIASED, size, u)
+            y = table[quantize_scalar(z, UNBIASED, size, u)] / 2.0
             return float(np.sum((x - apply_hd_inverse(y, diag)) ** 2))
 
         exact += u_average(sq_error_of_dither, breakpoints=jumps) / 16.0
