@@ -31,8 +31,9 @@ for mode in (BIASED, UNBIASED):
     # exact dither average by quadrature, split at the bucket-change points
     jumps = [(size * cdf(t)) % 1.0, ((size - 1) * cdf(t)) % 1.0, 0.5]
 
+    # u holds all the nodes of one quadrature piece: one table per node
     def recon_of_dither(u, mode=mode):
-        return build_codebook(mode, size, u)[quantize_scalar(t, mode, size, u)]
+        return build_codebook(mode, size, u)[np.arange(u.size), quantize_scalar(t, mode, size, u)]
 
     avg = u_average(recon_of_dither, breakpoints=jumps)
     print(f"{mode:>8s}: dither-averaged reconstruction of t={t} = {avg:+.7f}")

@@ -131,27 +131,43 @@ def mse_suite(dim, bits, trials, seed, mode=UNBIASED):
 
 
 def dither_average_error(bits: int, t_grid=None) -> float:
-    """Max over a t-grid of |E_U[reconstruct(quantize(t))] - t| by quadrature."""
+    """Max over a t-grid of |E_U[reconstruct(quantize(t))] - t| by quadrature.
+
+    Each Gauss piece builds one table per node in a single batched call and
+    reads each table's entry for t.
+    """
     num_levels = 1 << bits
     if t_grid is None:
         t_grid = np.linspace(-6.0, 6.0, 25)
     worst = 0.0
     for t in t_grid:
+        t = float(t)
         # bucket-change point of t, plus 0.5 where every reconstruction
         # argument crosses a cell boundary of the reconstruction map
-        jump = ((num_levels - 1) * cdf(float(t))) % 1.0
+        jump = ((num_levels - 1) * cdf(t)) % 1.0
 
-        def recon_of_u(u, t=float(t)):
-            table = build_codebook(UNBIASED, num_levels, u)
-            return table[quantize_scalar(t, UNBIASED, num_levels, u)]
+        def recon_of_u(us, t=t):
+            tables = build_codebook(UNBIASED, num_levels, us)
+            return tables[np.arange(us.size), quantize_scalar(t, UNBIASED, num_levels, us)]
 
         avg = oracle.u_average(recon_of_u, breakpoints=[jump, 0.5])
-        worst = max(worst, abs(avg - float(t)))
+        worst = max(worst, abs(avg - t))
     return worst
 
 
 def unbiased_suite(dim, bits, trials, seed):
-    """Per-coordinate z-scores of the decoded mean, plus the dither-average check."""
+    """Per-coordinate z-scores of the decoded mean, plus the dither-average check.
+
+    Needs bits >= 2, since the dither average has no finite quadrature at one
+    bit, and trials >= 2, since a z-score needs a sample variance.
+    """
+    if bits < 2:
+        raise ValueError(
+            f"unbiased suite needs bits >= 2, got {bits}: the 2-level unbiased table "
+            "diverges at dither 1/2, so its dither average cannot be integrated"
+        )
+    if trials < 2:
+        raise ValueError(f"unbiased suite needs trials >= 2 for a sample variance, got {trials}")
     start = time.perf_counter()
     chunks = _chunked(trials)
     cfg = QuantConfig(dim=dim, bits=bits, mode=UNBIASED)

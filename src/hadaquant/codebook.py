@@ -12,6 +12,12 @@ are built only to decode. Two reconstruction rules are supported:
   reconstruct through a modified map whose sliding-window averages equal
   the inverse CDF, which makes the dither-averaged reconstruction of every
   input exactly equal to that input.
+
+The dither is an array axis of this layer. ``build_codebook`` takes a float
+or a 1-D array of n dithers and returns one table or an ``(n, size)`` stack,
+built in one pass over the rows; a float is a batch of one, so every row
+has the bits of the table its dither builds alone. ``quantize_scalar``
+broadcasts its inputs against an array of dithers.
 """
 
 import math
@@ -28,7 +34,7 @@ _PDF_NORM = 1.0 / math.sqrt(6.0 * math.pi)
 
 # Saturation value for reconstruction entries whose defining formula
 # diverges; this happens only at dither offsets of measure zero (see
-# build_codebook).
+# _saturate).
 _SATURATION_QUANTILE = 1e-300
 
 
@@ -74,83 +80,123 @@ def _inv_cdf_slope(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _biased_grid_points(j, size: int, dither: float) -> np.ndarray:
+def _biased_grid_points(j, size: int, dither) -> np.ndarray:
     # Quantile boundaries j of the biased buckets: pinned endpoints, dithered
     # interior. The bucket rule and the table builder share this one helper.
     j = np.asarray(j)
     return np.where(j == 0, 0.0, np.where(j == size, 1.0, (j + dither) / size))
 
 
-def _build_biased(size: int, dither: float) -> np.ndarray:
-    grid = _biased_grid_points(np.arange(size + 1), size, dither)
-    mids = (grid[:-1] + grid[1:]) / 2.0
-    recon = np.empty(size)
-    recon[:-1] = inv_cdf(mids[:-1])
+def _build_biased(size: int, dither: np.ndarray) -> np.ndarray:
+    grid = _biased_grid_points(np.arange(size + 1), size, dither[:, None])
+    mids = (grid[:, :-1] + grid[:, 1:]) / 2.0
     # Next to dither 1 the top bucket's midpoint 1 - (1 - dither) / (2 * size)
     # rounds to 1.0, where inv_cdf diverges; that entry is then taken from the
     # upper tail, as inv_cdf(1 - q) = -inv_cdf(q).
-    top = mids[-1]
-    recon[-1] = inv_cdf(top) if top < 1.0 else -inv_cdf((1.0 - dither) / (2 * size))
+    top = mids[:, -1]
+    tail = top >= 1.0
+    top[tail] = (1.0 - dither[tail]) / (2 * size)
+    recon = inv_cdf(mids)
+    recon[tail, -1] *= -1.0
     return recon
 
 
-def _build_unbiased(size: int, dither: float) -> np.ndarray:
-    spacing = 1.0 / (size - 1)
+def _unbiased_sweep(size: int, dither: np.ndarray, k0: int) -> np.ndarray:
     # Reconstruction arguments (j + dither - 1/2) * spacing share one cell
     # representative u, at cell offsets k0 .. k0 + size - 1 with k0 <= 0, so
-    # the whole table is one cumulative sweep of midpoint slopes anchored at
-    # offset 0 (entry -k0): O(size) total.
-    k0 = (0 if dither <= 0.5 else 1) - size // 2  # exact: ceil(dither - 1/2) - size/2
+    # each row is one cumulative sweep of midpoint slopes anchored at offset 0
+    # (entry -k0): O(size) per row.
+    spacing = 1.0 / (size - 1)
     u = (dither - 0.5) * spacing - k0 * spacing
-    mids = u + (np.arange(k0, k0 + size - 1, dtype=np.float64) + 0.5) * spacing
-    inc = spacing * _inv_cdf_slope(mids)
+    mids = u[:, None] + (np.arange(k0, k0 + size - 1, dtype=np.float64) + 0.5) * spacing
+    inc = _inv_cdf_slope(mids)
+    inc *= spacing
     # Partial sums accumulated outward from the anchor, so that a divergent
-    # increment next to a domain endpoint cannot poison the rest.
-    neg = -np.cumsum(inc[:-k0][::-1])[::-1]
-    pos = np.cumsum(inc[-k0:])
-    anchor = math.inf if u >= 1.0 else inv_cdf(u)
-    recon = anchor + np.concatenate([neg, [0.0], pos])
-
-    if not np.all(np.isfinite(recon)):
-        # Only reachable at measure-zero dithers (dither == 0, or 0.5 when
-        # size == 2) where the defining formula diverges; endpoint values
-        # are irrelevant to the dither-averaged contract, so saturate them
-        # at an extreme quantile and keep the table strictly increasing.
-        lo_val = inv_cdf(_SATURATION_QUANTILE)
-        recon = np.clip(recon, lo_val, -lo_val)
-        for j in range(1, size):
-            if recon[j] <= recon[j - 1]:
-                recon[j] = recon[j - 1] + 1.0
+    # increment next to a domain endpoint cannot poison the rest; the sums
+    # below the anchor run from it downwards, written in place reversed.
+    # cumsum along axis 1 adds in order, so each row gets the bits of a 1-D sweep.
+    m = -k0
+    recon = np.empty((dither.size, size))
+    below = recon[:, :m]
+    np.cumsum(inc[:, :m][:, ::-1], axis=1, out=below[:, ::-1])
+    np.negative(below, out=below)
+    recon[:, m] = 0.0
+    np.cumsum(inc[:, m:], axis=1, out=recon[:, m + 1 :])
+    # u <= 1 always; u == 1 (size 2, dither 1/2) anchors at +inf.
+    recon += (_SQRT3 * ndtri(u))[:, None]
     return recon
 
 
-def _check_args(mode: str, num_levels: int, dither: float) -> None:
+def _saturate(row: np.ndarray) -> None:
+    # Only reachable at measure-zero dithers (dither == 0, or 0.5 when
+    # size == 2) where the defining formula diverges; endpoint values are
+    # irrelevant to the dither-averaged contract, so saturate them at an
+    # extreme quantile and keep the table strictly increasing.
+    lo_val = inv_cdf(_SATURATION_QUANTILE)
+    np.clip(row, lo_val, -lo_val, out=row)
+    for j in range(1, row.size):
+        if row[j] <= row[j - 1]:
+            row[j] = row[j - 1] + 1.0
+
+
+def _build_unbiased(size: int, dither: np.ndarray) -> np.ndarray:
+    # The cell offset k0 = ceil(dither - 1/2) - size/2 takes two values, so
+    # the rows split into (at most) two groups of one sweep each.
+    low = dither <= 0.5
+    k_low, k_high = -(size // 2), 1 - size // 2
+    num_low = np.count_nonzero(low)
+    if num_low == dither.size:
+        recon = _unbiased_sweep(size, dither, k_low)
+    elif num_low == 0:
+        recon = _unbiased_sweep(size, dither, k_high)
+    else:
+        recon = np.empty((dither.size, size))
+        recon[low] = _unbiased_sweep(size, dither[low], k_low)
+        recon[~low] = _unbiased_sweep(size, dither[~low], k_high)
+    finite = np.isfinite(recon)
+    if not finite.all():
+        for i in np.flatnonzero(~finite.all(axis=1)):
+            _saturate(recon[i])
+    return recon
+
+
+def _check_args(mode: str, num_levels: int, dither) -> np.ndarray:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if num_levels < 2 or not math.log2(num_levels).is_integer():
         raise ValueError(f"num_levels must be a power of two >= 2, got {num_levels}")
-    if not 0.0 <= dither < 1.0:
+    dither = np.asarray(dither, dtype=np.float64)
+    if not ((dither >= 0.0) & (dither < 1.0)).all():
         raise ValueError(f"dither must lie in [0, 1), got {dither}")
+    return dither
 
 
-def build_codebook(mode: str, num_levels: int, dither: float) -> np.ndarray:
-    """Reconstruction table for a bucket count and dither offset in [0, 1).
+def build_codebook(mode: str, num_levels: int, dither) -> np.ndarray:
+    """Reconstruction tables for a bucket count and dithers in [0, 1).
 
-    Entry j is the value bucket j of ``quantize_scalar`` decodes to.
+    ``dither`` is a float or a 1-D array of n dithers; the result is the
+    ``(num_levels,)`` table or the ``(n, num_levels)`` stack of them. Entry
+    j of a table is the value bucket j of ``quantize_scalar`` decodes to at
+    that dither. A row of the stack has the same bits as the table built
+    from its dither alone: a float is built as a batch of one.
     """
-    _check_args(mode, num_levels, dither)
-    if mode == BIASED:
-        return _build_biased(num_levels, dither)
-    return _build_unbiased(num_levels, dither)
+    dither = _check_args(mode, num_levels, dither)
+    if dither.ndim > 1:
+        raise ValueError(f"dither must be a float or a 1-D array, got shape {dither.shape}")
+    build = _build_biased if mode == BIASED else _build_unbiased
+    tables = build(num_levels, dither.reshape(-1))
+    return tables[0] if dither.ndim == 0 else tables
 
 
-def quantize_scalar(t, mode: str, num_levels: int, dither: float):
-    """Bucket index of t (scalar or array); half-open buckets, ties go up.
+def quantize_scalar(t, mode: str, num_levels: int, dither):
+    """Bucket index of t; half-open buckets, ties go up.
 
-    Needs no reconstruction table: the buckets follow from the mode, the
-    bucket count and the dither offset alone.
+    ``t`` and ``dither`` are scalars or arrays and broadcast against each
+    other, so a dither column against a row of inputs buckets every input
+    at every dither. Needs no reconstruction table: the buckets follow from
+    the mode, the bucket count and the dither offset alone.
     """
-    _check_args(mode, num_levels, dither)
+    dither = _check_args(mode, num_levels, dither)
     t = np.asarray(t, dtype=np.float64)
     if np.isnan(t).any():
         raise ValueError("quantize_scalar: NaN input")

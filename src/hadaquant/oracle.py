@@ -8,8 +8,14 @@ CDF/quantile oracles evaluate an erf series rather than a library routine.
 The two reference reconstruction formulas (``unbiased_recon``, pointwise, and
 ``biased_quant_direct``, grid-free) call ``scipy.special`` directly rather
 than the codebook's helpers.
+
+``u_average`` takes its integrand over arrays: each Gauss piece passes all
+of its nodes in one call, and the integrand returns the values with the node
+axis first. An integrand built on ``codebook.build_codebook`` therefore
+builds one ``(nodes, num_levels)`` table stack per piece.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -38,10 +44,23 @@ def enumerate_rademacher_expectation(fn, dim: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _gauss_piece(fn, lo: float, hi: float, nodes: int):
+@functools.cache
+def _legendre(nodes: int):
+    # Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
     x, w = leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_piece(fn, lo: float, hi: float, nodes: int):
+    x, w = _legendre(nodes)
     xs = (x + 1.0) / 2.0 * (hi - lo) + lo
-    vals = np.asarray([fn(s) for s in xs], dtype=np.float64)
+    vals = np.asarray(fn(xs), dtype=np.float64)
+    if vals.ndim == 0 or vals.shape[0] != nodes:
+        raise ValueError(
+            f"u_average: fn must return {nodes} values along axis 0 (one per node), "
+            f"got shape {vals.shape}"
+        )
     return np.tensordot(w * (hi - lo) / 2.0, vals, axes=1)
 
 
@@ -63,10 +82,16 @@ def _adaptive(fn, lo: float, hi: float, tol: float, depth: int):
 def u_average(fn, breakpoints=None, tol: float = 1e-10):
     """Average of fn(U) over the dither U in [0, 1).
 
+    fn is evaluated once per Gauss piece: it receives the piece's nodes as a
+    1-D array and returns the values at them with the node axis first, shape
+    ``(nodes,)`` for a scalar integrand or ``(nodes, ...)`` for an array one;
+    any other shape raises ``ValueError``. The average has the integrand's
+    shape without the node axis.
+
     fn must be piecewise smooth, and the caller supplies the locations of its
     jumps in ``breakpoints`` (quantization-decision jumps are analytic, so
-    blind adaptive quadrature across them is never needed). Refinement-estimated absolute error is at most ~tol per piece.
-    fn may return scalars or arrays.
+    blind adaptive quadrature across them is never needed). Refinement-estimated
+    absolute error is at most ~tol per piece.
     """
     pts = sorted({0.0, 1.0, *(float(b) for b in (breakpoints or []) if 0.0 < float(b) < 1.0)})
     total = None

@@ -45,9 +45,10 @@ def _basis_e1_exact(bits: int, trials: int):
     ts = np.array([1.0, -1.0])
 
     def moments(u):
-        table = build_codebook(UNBIASED, num_levels, u)
-        v = 4.0**bits * (table[quantize_scalar(ts, UNBIASED, num_levels, u)] - ts) ** 2
-        return np.concatenate([v, v * v])
+        tables = build_codebook(UNBIASED, num_levels, u)
+        idx = quantize_scalar(ts, UNBIASED, num_levels, u[:, None])
+        v = 4.0**bits * (np.take_along_axis(tables, idx, axis=1) - ts) ** 2
+        return np.concatenate([v, v * v], axis=1)
 
     jumps = ((num_levels - 1) * cdf(ts)) % 1.0
     m = u_average(moments, breakpoints=[*jumps, 0.5])

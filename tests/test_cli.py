@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hadaquant import bitstream
+from hadaquant import bench, bitstream
 from hadaquant.cli import (
     decode_payload,
     encode_vector,
@@ -112,6 +112,26 @@ def test_bench_rejects_flags_the_suite_does_not_read(argv, unread, capsys):
         main(["bench", *argv])
     assert exc.value.code == 2
     assert f"suite {argv[0]} does not read {unread}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--bits", "1", "--trials", "20"], "diverges at dither 1/2"),
+    (["--bits", "3", "--trials", "1"], "sample variance"),
+], ids=["one-bit", "one-trial"])
+def test_bench_unbiased_rejects_degenerate_args(flags, reason, capsys):
+    # one error line and exit 1, not a traceback or a z-score over a zero variance
+    assert main(["bench", "unbiased", "--dim", "8", *flags]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and reason in line
+
+
+@pytest.mark.parametrize("bits, trials", [(1, 20), (3, 1)])
+def test_unbiased_suite_rejects_degenerate_args_before_any_trial(monkeypatch, bits, trials):
+    encodes = []
+    monkeypatch.setattr(bench, "vector_quant", lambda *args: encodes.append(args))
+    with pytest.raises(ValueError):
+        bench.unbiased_suite(8, bits, trials, 0)
+    assert encodes == []
 
 
 def test_dequantize_rejects_missing_payloads(tmp_path):

@@ -255,36 +255,59 @@ TABLE_DITHERS = [0.0, 2.0**-53, 0.25, 0.5, 0.5 + 2.0**-53, 1.0 - 98303 * 2.0**-5
 
 @pytest.mark.parametrize("bits", range(1, 17))
 def test_tables_match_reference_bit_for_bit(bits):
+    # each dither alone, and all of them as one array: every row of the
+    # batch is held to the same reference
     size = 1 << bits
-    for dither in TABLE_DITHERS:
+    dithers = np.array(TABLE_DITHERS)
+    biased_rows = build_codebook(BIASED, size, dithers)
+    unbiased_rows = build_codebook(UNBIASED, size, dithers)
+    assert biased_rows.shape == unbiased_rows.shape == (dithers.size, size)
+    # one dither per row of the column, broadcast against the shared probes
+    column = {mode: quantize_scalar(BUCKET_PROBES, mode, size, dithers[:, None])
+              for mode in (BIASED, UNBIASED)}
+    for i, dither in enumerate(TABLE_DITHERS):
         grid, recon = _reference_biased(size, dither)
-        table = build_codebook(BIASED, size, dither)
         points = _biased_grid_points(np.arange(size + 1), size, dither)
         assert np.array_equal(points, grid), (size, dither)
-        if np.all(np.isfinite(recon)):
-            assert np.array_equal(table, recon), (size, dither)
-        else:
-            # the top bucket's midpoint rounds to 1.0 (at bits=16 for every
-            # dither >= 1 - 98303 * 2**-53); only that entry leaves the
-            # reference, and stays finite
-            assert np.array_equal(table[:-1], recon[:-1]), (size, dither)
-            assert np.isfinite(table[-1]), (size, dither)
-            assert table[-1] > table[-2], (size, dither)
+        for table in (build_codebook(BIASED, size, dither), biased_rows[i]):
+            if np.all(np.isfinite(recon)):
+                assert np.array_equal(table, recon), (size, dither)
+            else:
+                # the top bucket's midpoint rounds to 1.0 (at bits=16 for every
+                # dither >= 1 - 98303 * 2**-53); only that entry leaves the
+                # reference, and stays finite
+                assert np.array_equal(table[:-1], recon[:-1]), (size, dither)
+                assert np.isfinite(table[-1]), (size, dither)
+                assert table[-1] > table[-2], (size, dither)
         probes = np.concatenate([BUCKET_PROBES, _boundary_probes(grid)])
         p = ndtr(probes / SQRT3)
         want = np.clip(np.searchsorted(grid, p, side="right") - 1, 0, size - 1)
         assert np.array_equal(quantize_scalar(probes, BIASED, size, dither), want), (size, dither)
+        assert np.array_equal(column[BIASED][i], want[:BUCKET_PROBES.size]), (size, dither)
+        assert np.array_equal(column[UNBIASED][i],
+                              quantize_scalar(BUCKET_PROBES, UNBIASED, size, dither)), (size, dither)
         recon, _ = _reference_unbiased(size, dither)
-        assert np.array_equal(build_codebook(UNBIASED, size, dither), recon), (size, dither)
+        for table in (build_codebook(UNBIASED, size, dither), unbiased_rows[i]):
+            assert np.array_equal(table, recon), (size, dither)
 
 
 def test_tables_match_reference_on_saturation_branch():
-    # the measure-zero dithers where the defining formula diverges
-    cases = [(1 << bits, 0.0) for bits in range(1, 17)] + [(2, 0.5)]
-    for size, dither in cases:
-        recon, saturated = _reference_unbiased(size, dither)
-        assert saturated, (size, dither)
-        assert np.array_equal(build_codebook(UNBIASED, size, dither), recon), (size, dither)
+    # the measure-zero dithers where the defining formula diverges, alone and
+    # as one array together with a dither on each side of 1/2 that does not
+    # saturate
+    for bits in range(1, 17):
+        size = 1 << bits
+        dithers = [0.0, 0.5] if size == 2 else [0.0]
+        rows = build_codebook(UNBIASED, size, np.array([0.3, *dithers, 0.7]))
+        recon, saturated = _reference_unbiased(size, 0.3)
+        assert not saturated and np.array_equal(rows[0], recon), size
+        recon, saturated = _reference_unbiased(size, 0.7)
+        assert not saturated and np.array_equal(rows[-1], recon), size
+        for i, dither in enumerate(dithers, start=1):
+            recon, saturated = _reference_unbiased(size, dither)
+            assert saturated, (size, dither)
+            assert np.array_equal(build_codebook(UNBIASED, size, dither), recon), (size, dither)
+            assert np.array_equal(rows[i], recon), (size, dither)
 
 
 def test_build_rejects_bad_args():
@@ -296,6 +319,18 @@ def test_build_rejects_bad_args():
         build_codebook(UNBIASED, 4, 1.0)
     with pytest.raises(ValueError):
         build_codebook("other", 4, 0.0)
+
+
+@pytest.mark.parametrize("mode", [BIASED, UNBIASED])
+def test_batch_checks_every_dither(mode):
+    for bad in (1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="dither"):
+            build_codebook(mode, 4, np.array([0.2, bad, 0.6]))
+        with pytest.raises(ValueError, match="dither"):
+            quantize_scalar(np.zeros(3), mode, 4, np.array([[0.2], [bad]]))
+    with pytest.raises(ValueError, match="1-D"):
+        build_codebook(mode, 4, np.full((2, 2), 0.5))
+    assert build_codebook(mode, 4, np.empty(0)).shape == (0, 4)
 
 
 # --- quantize / reconstruct ---------------------------------------------------
@@ -366,7 +401,8 @@ def test_unbiased_dither_average_recovers_input():
         for t in np.linspace(-6.0, 6.0, 13):
 
             def recon_of_dither(u, t=float(t), size=size):
-                return build_codebook(UNBIASED, size, u)[quantize_scalar(t, UNBIASED, size, u)]
+                idx = quantize_scalar(t, UNBIASED, size, u)
+                return build_codebook(UNBIASED, size, u)[np.arange(u.size), idx]
 
             avg = u_average(recon_of_dither, breakpoints=_dither_jumps(t, size))
             assert avg == pytest.approx(float(t), abs=1e-6), (size, t)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from hadaquant import bench
 from hadaquant.codebook import BIASED, UNBIASED
 from hadaquant.twostage import quantize_two_stage
 from hadaquant.vquant import QuantConfig, vector_quant
@@ -21,13 +22,13 @@ COUNTED = (
 )
 
 
-def _count_calls(monkeypatch) -> dict:
-    counts = dict.fromkeys(COUNTED, 0)
+def _count_calls(monkeypatch, names=COUNTED) -> dict:
+    counts = dict.fromkeys(names, 0)
     modules = [
         m for n, m in list(sys.modules.items())
         if m is not None and (n == "hadaquant" or n.startswith("hadaquant."))
     ]
-    for name in COUNTED:
+    for name in names:
         layer, fn_name = name.split(".")
         original = getattr(sys.modules[f"hadaquant.{layer}"], fn_name)
 
@@ -66,3 +67,11 @@ def test_vector_quant_builds_no_table(monkeypatch, mode):
     vector_quant(x, cfg, 5, 7)
     assert counts["codebook.build_codebook"] == 0
     assert counts["vquant.derive_base_signs"] == counts["vquant.derive_dither"] == 1
+
+
+def test_dither_average_builds_one_table_stack_per_gauss_piece(monkeypatch):
+    # the quadrature hands each piece's nodes to the integrand at once, and
+    # the integrand builds all of their tables in one call
+    counts = _count_calls(monkeypatch, ("codebook.build_codebook", "oracle._gauss_piece"))
+    bench.dither_average_error(4)
+    assert counts == {"codebook.build_codebook": 228, "oracle._gauss_piece": 228}

@@ -163,3 +163,17 @@ def test_inner_product_row(case):
     measured, passed = INNER_PRODUCT[case]
     assert row.passed is passed
     assert row.measured == pytest.approx(measured, rel=1e-9, abs=0)
+
+
+# dither_average_error(bits) -> its exact value. Bits 3 is pinned through the
+# unbiased CSV digests above.
+DITHER_AVERAGE = {
+    2: 5.3290705182007514e-14,
+    4: 5.3290705182007514e-14,
+    6: 6.394884621840902e-14,
+}
+
+
+@pytest.mark.parametrize("bits", sorted(DITHER_AVERAGE))
+def test_dither_average_error(bits):
+    assert bench.dither_average_error(bits) == DITHER_AVERAGE[bits]

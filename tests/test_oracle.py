@@ -53,28 +53,57 @@ def test_enumeration_caps_dimension():
 
 
 def test_u_average_constant():
-    assert u_average(lambda u: 2.75) == pytest.approx(2.75, abs=1e-12)
+    assert u_average(lambda u: np.full(u.shape, 2.75)) == pytest.approx(2.75, abs=1e-12)
 
 
 def test_u_average_vector_valued():
-    out = u_average(lambda u: np.array([u, u * u]))
+    out = u_average(lambda u: np.stack([u, u * u], axis=1))
     assert out == pytest.approx([0.5, 1.0 / 3.0], abs=1e-10)
+
+
+@pytest.mark.parametrize("fn", [lambda u: 2.75, lambda u: np.ones(3), lambda u: np.ones((2, u.size))],
+                         ids=["scalar", "fixed-length", "node-axis-last"])
+def test_u_average_rejects_values_without_leading_node_axis(fn):
+    with pytest.raises(ValueError, match="one per node"):
+        u_average(fn)
+
+
+def _recon_of_dithers(t, size):
+    # the unbiased reconstruction of t at each dither of a 1-D array
+    def fn(us):
+        rows = np.arange(us.size)
+        return build_codebook(UNBIASED, size, us)[rows, quantize_scalar(t, UNBIASED, size, us)]
+
+    return fn
 
 
 def test_u_average_is_the_unbiasedness_oracle():
     t, size = 0.7, 8
     jump = ((size - 1) * cdf(t)) % 1.0
-
-    def recon_of_dither(u):
-        return build_codebook(UNBIASED, size, u)[quantize_scalar(t, UNBIASED, size, u)]
-
-    avg = u_average(recon_of_dither, breakpoints=[jump, 0.5])
+    avg = u_average(_recon_of_dithers(t, size), breakpoints=[jump, 0.5])
     assert avg == pytest.approx(t, abs=1e-6)
+
+
+@pytest.mark.parametrize("bits", [2, 4, 6])
+def test_batched_integrand_matches_per_node_builds(bits):
+    # one table stack per Gauss piece gives the bits of one table per node
+    size = 1 << bits
+
+    def per_node(t):
+        return lambda us: np.array(
+            [build_codebook(UNBIASED, size, u)[quantize_scalar(t, UNBIASED, size, u)]
+             for u in us.tolist()]
+        )
+
+    for t in np.linspace(-6.0, 6.0, 13).tolist():
+        jumps = [((size - 1) * cdf(t)) % 1.0, 0.5]
+        batched = u_average(_recon_of_dithers(t, size), breakpoints=jumps)
+        assert batched == u_average(per_node(t), breakpoints=jumps), (bits, t)
 
 
 def test_u_average_reports_nonconvergence_on_undeclared_jump():
     with pytest.raises(RuntimeError):
-        u_average(lambda u: 1.0 if u > 1.0 / 3.0 else 0.0)
+        u_average(lambda u: np.where(u > 1.0 / 3.0, 1.0, 0.0))
 
 
 def test_normal_weighted_scalar_mse_near_constant():

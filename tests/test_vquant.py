@@ -103,9 +103,10 @@ def test_dither_quadrature_unbiasedness_at_fixed_signs():
     jumps = [((cfg.num_levels - 1) * cdf(float(zi))) % 1.0 for zi in z] + [0.5]
 
     def decoded_of_dither(u):
-        table = build_codebook(UNBIASED, cfg.num_levels, u)
-        y = table[quantize_scalar(z, UNBIASED, cfg.num_levels, u)] / math.sqrt(8)
-        return apply_hd_inverse(y, diag)
+        tables = build_codebook(UNBIASED, cfg.num_levels, u)
+        idx = quantize_scalar(z, UNBIASED, cfg.num_levels, u[:, None])
+        y = np.take_along_axis(tables, idx, axis=1) / math.sqrt(8)
+        return np.array([apply_hd_inverse(row, diag) for row in y])
 
     avg = u_average(decoded_of_dither, breakpoints=jumps)
     assert np.abs(avg - x).max() <= 1e-6
@@ -141,9 +142,10 @@ def test_exact_small_instance_expectation_matches_monte_carlo():
         jumps = [((size - 1) * cdf(float(zi))) % 1.0 for zi in z] + [0.5]
 
         def sq_error_of_dither(u):
-            table = build_codebook(UNBIASED, size, u)
-            y = table[quantize_scalar(z, UNBIASED, size, u)] / 2.0
-            return float(np.sum((x - apply_hd_inverse(y, diag)) ** 2))
+            tables = build_codebook(UNBIASED, size, u)
+            y = np.take_along_axis(tables, quantize_scalar(z, UNBIASED, size, u[:, None]), axis=1)
+            return np.array([float(np.sum((x - apply_hd_inverse(row / 2.0, diag)) ** 2))
+                             for row in y])
 
         exact += u_average(sq_error_of_dither, breakpoints=jumps) / 16.0
 
