@@ -24,6 +24,7 @@ INNER_PRODUCT_GATE = 48.4  # 13 * (MSE_CONSTANT + 1) rounded up at the gate
 RATE_COEFF = 3.7213  # unary levels + signs per coordinate
 ENUM_TOL = 1e-12
 ENUM_DIM = 10  # 1024 sign patterns per enumeration
+ENUM_PAIRS = 20  # random (a, b) pairs for the mixed fourth moment
 UNBIASED_Z_GATE = 5.0
 UNBIASED_QUAD_TOL = 1e-6
 
@@ -71,13 +72,20 @@ def _trial_range(trials: int) -> range:
     return range(trials)
 
 
-def _chunked(trials: int):
-    # The summing suites add their per-trial terms per group of _CHUNK
-    # trials, then add the group sums in order. One running total would
-    # change the last bits of `measured` above _CHUNK trials, and the golden
-    # CSV digests pin those bits.
+def _chunked_sum(trials: int, term):
+    # Sum of term(trial) over the trials, a float or an array: the terms are
+    # added per group of _CHUNK trials, then the group sums in order. One
+    # running total would change the last bits of `measured` above _CHUNK
+    # trials, and the golden CSV digests pin those bits. Starting from 0.0
+    # adds exactly as a zero array would.
     every = _trial_range(trials)
-    return [every[lo : lo + _CHUNK] for lo in range(0, trials, _CHUNK)]
+    total = 0.0
+    for lo in range(0, trials, _CHUNK):
+        part = 0.0
+        for trial in every[lo : lo + _CHUNK]:
+            part += term(trial)
+        total += part
+    return total
 
 
 # --- mse suite -------------------------------------------------------------
@@ -93,7 +101,6 @@ def mse_suite(dim, bits, trials, seed, mode=UNBIASED):
     only to the upper edge: the method caps distortion for every input but
     promises no floor.
     """
-    chunks = _chunked(trials)
     cfg = QuantConfig(dim=dim, bits=bits, mode=mode)
     rows = []
     for kind in ("random-unit", "basis-e1"):
@@ -103,14 +110,12 @@ def mse_suite(dim, bits, trials, seed, mode=UNBIASED):
             x[0] = 1.0
         else:
             x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
-        total = 0.0
-        for chunk in chunks:
-            part = 0.0
-            for trial in chunk:
-                err = x - vector_dequant(vector_quant(x, cfg, seed, trial), cfg)
-                part += float(err @ err)
-            total += part
-        measured = 4.0**bits * total / trials
+
+        def squared_error(trial):
+            err = x - vector_dequant(vector_quant(x, cfg, seed, trial), cfg)
+            return float(err @ err)
+
+        measured = 4.0**bits * _chunked_sum(trials, squared_error) / trials
         floor = MSE_WINDOW[0] if kind == "random-unit" else -math.inf
         rows.append(
             ExperimentRow(
@@ -169,20 +174,14 @@ def unbiased_suite(dim, bits, trials, seed):
     if trials < 2:
         raise ValueError(f"unbiased suite needs trials >= 2 for a sample variance, got {trials}")
     start = time.perf_counter()
-    chunks = _chunked(trials)
     cfg = QuantConfig(dim=dim, bits=bits, mode=UNBIASED)
     x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
-    acc = np.zeros(dim)
-    acc_sq = np.zeros(dim)
-    for chunk in chunks:
-        part = np.zeros(dim)
-        part_sq = np.zeros(dim)
-        for trial in chunk:
-            decoded = vector_dequant(vector_quant(x, cfg, seed, trial), cfg)
-            part += decoded
-            part_sq += decoded * decoded
-        acc += part
-        acc_sq += part_sq
+
+    def moments(trial):
+        decoded = vector_dequant(vector_quant(x, cfg, seed, trial), cfg)
+        return np.stack([decoded, decoded * decoded])
+
+    acc, acc_sq = _chunked_sum(trials, moments)
     mean = acc / trials
     var = np.maximum(acc_sq / trials - mean * mean, 1e-300)
     stderr = np.sqrt(var / trials)
@@ -222,19 +221,15 @@ def unbiased_suite(dim, bits, trials, seed):
 def inner_product_suite(dim, bits, trials, seed, mode=UNBIASED):
     """Query-direction error statistic dim * 4**bits * E<y, decoded - x>^2."""
     start = time.perf_counter()
-    chunks = _chunked(trials)
     cfg = QuantConfig(dim=dim, bits=bits, mode=mode)
     x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
-    total = 0.0
-    for chunk in chunks:
-        part = 0.0
-        for trial in chunk:
-            y = _random_unit(stream_rng(seed, (_TAG_BENCH_Y, trial)), dim)
-            code = quantize_two_stage(x, cfg, seed, trial)
-            err = estimate_inner_product(code, y) - float(y @ x)
-            part += err * err
-        total += part
-    measured = dim * 4.0**bits * total / trials
+
+    def squared_error(trial):
+        y = _random_unit(stream_rng(seed, (_TAG_BENCH_Y, trial)), dim)
+        err = estimate_inner_product(quantize_two_stage(x, cfg, seed, trial), y) - float(y @ x)
+        return err * err
+
+    measured = dim * 4.0**bits * _chunked_sum(trials, squared_error) / trials
     return [
         ExperimentRow(
             "inner-product/error",
@@ -279,12 +274,12 @@ def rate_suite(dim, bits, trials, seed, mode=UNBIASED):
 # --- oracle suite ----------------------------------------------------------
 
 
-def enumeration_reports(seed, dim=ENUM_DIM, pairs=20):
+def enumeration_reports(seed, dim=ENUM_DIM):
     """Exact sign-pattern enumeration of the moment identities and bounds: {quantity: error}."""
     rng = stream_rng(seed, (_TAG_BENCH_X, 1))
     errors = {}
     worst_fourth = 0.0
-    for _ in range(pairs):
+    for _ in range(ENUM_PAIRS):
         a = _random_unit(rng, dim)
         b = _random_unit(rng, dim)
         exact = oracle.enumerate_rademacher_expectation(

@@ -23,14 +23,13 @@ body (little-endian bit cursor, zero-padded to a byte boundary)::
 Every corruption decodes to a typed WireFormatError subclass, never a crash.
 """
 
-import math
 import struct
 
 import numpy as np
 
 from .codebook import BIASED, UNBIASED
 from .residual import MAX_LEVEL, ResidualCode
-from .twostage import TwoStageCode
+from .twostage import TwoStageCode, check_code
 from .vquant import QuantConfig, VectorCode
 
 MAGIC = b"HQ01"
@@ -75,40 +74,20 @@ class FieldOverflowError(WireFormatError):
 
 
 def _check_fields(code: TwoStageCode):
-    cfg = code.config
-    base, resid = code.base, code.residual
-    if not 1 <= cfg.bits <= 16:
-        raise FieldOverflowError(f"bits {cfg.bits} outside [1, 16]")
-    if not 0 <= resid.scale_idx <= 255:
-        raise FieldOverflowError(f"scale index {resid.scale_idx} does not fit one byte")
-    if not 0 < cfg.dim < 1 << 32:
-        raise FieldOverflowError(f"dim {cfg.dim} does not fit u32")
-    for name, tok in (("seed", base.seed), ("vec_counter", base.vec_counter)):
-        if not 0 <= tok < 1 << 64:
-            raise FieldOverflowError(f"{name} {tok} does not fit u64")
-    if not (math.isfinite(base.norm) and base.norm >= 0):
-        raise FieldOverflowError(f"norm {base.norm} must be finite and >= 0")
-    indices = np.asarray(base.indices)
-    if indices.shape != (cfg.padded_dim,):
-        raise FieldOverflowError(f"index count {indices.shape} != padded dim {cfg.padded_dim}")
-    if indices.size and int(indices.max()) >= cfg.num_levels:
-        raise FieldOverflowError(f"bucket index >= 2**bits = {cfg.num_levels}")
-    levels = np.asarray(resid.levels)
-    signs = np.asarray(resid.signs)
-    if levels.shape != (cfg.padded_dim,) or signs.shape != (cfg.padded_dim,):
-        raise FieldOverflowError("residual arrays do not match the padded dimension")
-    if resid.scale_idx > 0:
-        if levels.size and (int(levels.min()) < 0 or int(levels.max()) > MAX_LEVEL):
-            raise FieldOverflowError(f"level outside [0, {MAX_LEVEL}]")
-        if not np.all(np.abs(signs) == 1):
-            raise FieldOverflowError("signs must be -1/+1 when the scale index is nonzero")
+    # The wire's own limit, then the codec's one check of the code: a code no
+    # encoder makes has no faithful payload either.
+    if not code.config.dim < 1 << 32:
+        raise FieldOverflowError(f"dim {code.config.dim} does not fit u32")
+    try:
+        check_code(code)
+    except ValueError as exc:
+        raise FieldOverflowError(str(exc)) from None
 
 
 def encode(code: TwoStageCode) -> bytes:
     """Serialize a TwoStageCode to the wire layout above."""
     _check_fields(code)
-    cfg = code.config
-    base, resid = code.base, code.residual
+    cfg, base, resid = code.config, code.base, code.residual
     header = HEADER.pack(
         MAGIC,
         VERSION,
@@ -143,20 +122,15 @@ def _parse_header(data: bytes):
         raise BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:
         raise VersionMismatchError(f"unsupported version {version}")
-    if mode_byte not in _BYTE_TO_MODE:
-        raise FieldOverflowError(f"unknown mode byte {mode_byte}")
-    if not 1 <= bits <= 16:
-        raise FieldOverflowError(f"bits {bits} outside [1, 16]")
-    if dim < 1:
-        raise FieldOverflowError("dim must be >= 1")
-    if not (math.isfinite(norm) and norm >= 0):
-        raise FieldOverflowError(f"norm {norm} must be finite and >= 0")
-    cfg = QuantConfig(dim=dim, bits=bits, mode=_BYTE_TO_MODE[mode_byte])
+    try:
+        cfg = QuantConfig(dim, bits, _BYTE_TO_MODE.get(mode_byte, f"byte {mode_byte}"))
+    except ValueError as exc:
+        raise FieldOverflowError(str(exc)) from None
     return cfg, scale_idx, seed, vec_counter, norm
 
 
 def decode(data: bytes) -> TwoStageCode:
-    """Inverse of encode; rejects truncation, dirty padding and trailing bytes."""
+    """Inverse of encode; rejects malformed payloads, and codes that fail check_code."""
     cfg, scale_idx, seed, vec_counter, norm = _parse_header(data)
     d, b = cfg.padded_dim, cfg.bits
     bits = np.unpackbits(
@@ -167,38 +141,30 @@ def decode(data: bytes) -> TwoStageCode:
     indices = (bits[: d * b].reshape(d, b).astype(np.uint32) << np.arange(b)).sum(axis=1)
     rest = bits[d * b :]
     if scale_idx > 0:
-        zero_pos = np.flatnonzero(rest == 0)
-        if zero_pos.size < d:
-            # the level block never finishes; every 1-run seen so far is a level
-            runs = np.diff(np.concatenate(([-1], zero_pos))) - 1
-            tail = rest.size - (int(zero_pos[-1]) + 1 if zero_pos.size else 0)
-            if int(runs.max(initial=0)) > MAX_LEVEL or tail > MAX_LEVEL:
-                raise LevelOverrunError(f"unary level run exceeds {MAX_LEVEL}")
-            raise TruncatedPayloadError(
-                f"body ends inside the level block ({zero_pos.size}/{d} levels)"
-            )
-        ends = zero_pos[:d]
-        levels = np.diff(np.concatenate(([-1], ends))) - 1
-        if int(levels.max(initial=0)) > MAX_LEVEL:
-            raise LevelOverrunError(f"decoded level exceeds {MAX_LEVEL}")
+        # The one-runs ended by the first d zeros are the levels. If fewer
+        # than d zeros come, the run after the last one is an unfinished
+        # level, and it is judged with the others.
+        ends = np.flatnonzero(rest == 0)[:d]
+        levels = np.diff(np.concatenate(([-1], ends, [rest.size])))[:d] - 1
+        if int(levels.max()) > MAX_LEVEL:
+            raise LevelOverrunError(f"unary level run exceeds {MAX_LEVEL}")
+        if ends.size < d:
+            raise TruncatedPayloadError(f"body ends inside the level block ({ends.size}/{d})")
         sign_start = int(ends[-1]) + 1
         if sign_start + d > rest.size:
             raise TruncatedPayloadError("body ends inside the sign block")
         signs = (2 * rest[sign_start : sign_start + d].astype(np.int8) - 1).astype(np.int8)
         padding = rest[sign_start + d :]
     else:
-        levels = np.zeros(d, dtype=np.int64)
-        signs = np.zeros(d, dtype=np.int8)
-        padding = rest
+        levels, signs, padding = np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8), rest
     if padding.size >= 8:
         raise TrailingDataError(f"{padding.size} spare bits after the payload")
     if padding.any():
         raise PaddingError("nonzero padding bits")
-    if indices.size and int(indices.max()) >= cfg.num_levels:
-        raise FieldOverflowError(f"bucket index >= 2**bits = {cfg.num_levels}")
     base = VectorCode(indices.astype(np.uint16), norm, seed, vec_counter)
-    resid = ResidualCode(scale_idx, levels.astype(np.int64), signs)
-    return TwoStageCode(base, resid, cfg)
+    code = TwoStageCode(base, ResidualCode(scale_idx, levels.astype(np.int64), signs), cfg)
+    _check_fields(code)
+    return code
 
 
 def rate_report(code: TwoStageCode) -> dict:

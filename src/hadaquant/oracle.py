@@ -23,6 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
 _ENUM_CAP = 12  # 4096 sign patterns; keeps exact full-pipeline checks fast
+U_AVERAGE_TOL = 1e-10  # refinement error allowed per unit length of a u_average piece
 
 
 def sign_patterns(dim: int) -> np.ndarray:
@@ -64,22 +65,22 @@ def _gauss_piece(fn, lo: float, hi: float, nodes: int):
     return np.tensordot(w * (hi - lo) / 2.0, vals, axes=1)
 
 
-def _adaptive(fn, lo: float, hi: float, tol: float, depth: int):
+def _adaptive(fn, lo: float, hi: float, depth: int):
     coarse = _gauss_piece(fn, lo, hi, 16)
     fine = _gauss_piece(fn, lo, hi, 32)
     err = np.max(np.abs(fine - coarse))
     floor = 1e-13 * max(1.0, float(np.max(np.abs(fine))))
-    if err <= max(tol * (hi - lo), floor) or hi - lo < 1e-14:
+    if err <= max(U_AVERAGE_TOL * (hi - lo), floor) or hi - lo < 1e-14:
         return fine
     if depth <= 0:
         raise RuntimeError(
             f"quadrature did not converge on [{lo}, {hi}] (refinement error {err:.3e})"
         )
     mid = (lo + hi) / 2.0
-    return _adaptive(fn, lo, mid, tol, depth - 1) + _adaptive(fn, mid, hi, tol, depth - 1)
+    return _adaptive(fn, lo, mid, depth - 1) + _adaptive(fn, mid, hi, depth - 1)
 
 
-def u_average(fn, breakpoints=None, tol: float = 1e-10):
+def u_average(fn, breakpoints=None):
     """Average of fn(U) over the dither U in [0, 1).
 
     fn is evaluated once per Gauss piece: it receives the piece's nodes as a
@@ -91,12 +92,12 @@ def u_average(fn, breakpoints=None, tol: float = 1e-10):
     fn must be piecewise smooth, and the caller supplies the locations of its
     jumps in ``breakpoints`` (quantization-decision jumps are analytic, so
     blind adaptive quadrature across them is never needed). Refinement-estimated
-    absolute error is at most ~tol per piece.
+    absolute error is at most ~U_AVERAGE_TOL per piece.
     """
     pts = sorted({0.0, 1.0, *(float(b) for b in (breakpoints or []) if 0.0 < float(b) < 1.0)})
     total = None
     for lo, hi in zip(pts[:-1], pts[1:]):
-        piece = _adaptive(fn, lo, hi, tol, depth=24)
+        piece = _adaptive(fn, lo, hi, depth=24)
         total = piece if total is None else total + piece
     return float(total) if np.ndim(total) == 0 else total
 

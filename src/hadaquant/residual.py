@@ -18,7 +18,7 @@ from .transform import (
     apply_hd,
     apply_hd_inverse,
     sample_signs,
-    stream_rng,
+    sample_uniforms,
 )
 
 MAX_SCALE_IDX = 255  # one header byte; unreachable for any desk-scale (d, bits)
@@ -80,6 +80,25 @@ class ResidualCode:
     signs: np.ndarray  # (d,) int8 in {-1,+1}; zero placeholders when scale_idx == 0
 
 
+def check_code(code: ResidualCode, padded_dim: int) -> None:
+    """Raise ValueError unless residual_quant can make code at padded_dim.
+
+    Such a code has a scale index in [0, MAX_SCALE_IDX] and levels and signs
+    of shape (padded_dim,); when the scale index is nonzero, the levels are
+    integers in [0, MAX_LEVEL] and the signs are -1 or +1.
+    """
+    if not 0 <= code.scale_idx <= MAX_SCALE_IDX:
+        raise ValueError(f"scale index {code.scale_idx} outside [0, {MAX_SCALE_IDX}]")
+    levels, signs = np.asarray(code.levels), np.asarray(code.signs)
+    if levels.shape != (padded_dim,) or signs.shape != (padded_dim,):
+        raise ValueError(f"levels {levels.shape} and signs {signs.shape} need length {padded_dim}")
+    if code.scale_idx > 0:
+        if levels.dtype.kind not in "iu" or levels.min() < 0 or levels.max() > MAX_LEVEL:
+            raise ValueError(f"levels must be integers in [0, {MAX_LEVEL}]")
+        if not np.all(np.abs(signs) == 1):
+            raise ValueError("sign entries must be -1 or +1 when the scale index is nonzero")
+
+
 def derive_residual_signs(seed: int, vec_counter: int, padded_dim: int):
     return sample_signs(seed, (vec_counter, STREAM_RESIDUAL_SIGNS), padded_dim)
 
@@ -93,18 +112,11 @@ def _doubling_levels(v_abs: np.ndarray, sigma: float) -> np.ndarray:
     return lev
 
 
-def residual_quant(
-    r,
-    num_levels: int,
-    seed: int,
-    vec_counter: int,
-    sign_rng: np.random.Generator | None = None,
-) -> ResidualCode:
+def residual_quant(r, num_levels: int, seed: int, vec_counter: int) -> ResidualCode:
     """Encode a residual with ||r|| <= 2 (power-of-two length).
 
     Sign bits come from a dedicated stream keyed by (seed, vec_counter) so
-    encoding is reproducible yet independent of the sign diagonal; pass an
-    explicit generator to draw fresh bits while keeping the diagonal fixed.
+    encoding is reproducible yet independent of the sign diagonal.
     """
     r = np.asarray(r, dtype=np.float64)
     if not np.all(np.isfinite(r)):
@@ -122,8 +134,8 @@ def residual_quant(
     levels = _doubling_levels(np.abs(v), sigma)
     radius = np.ldexp(sigma, levels)
     p_plus = 0.5 * (1.0 + v / radius)
-    rng = sign_rng if sign_rng is not None else stream_rng(seed, (vec_counter, STREAM_SIGN_BITS))
-    signs = np.where(rng.random(d) < p_plus, 1, -1).astype(np.int8)
+    uniforms = sample_uniforms(seed, (vec_counter, STREAM_SIGN_BITS), d)
+    signs = np.where(uniforms < p_plus, 1, -1).astype(np.int8)
     return ResidualCode(scale_idx, levels, signs)
 
 
@@ -132,17 +144,13 @@ def residual_dequant(
 ) -> np.ndarray:
     """Decode a residual code; conditionally unbiased given (diagonal, r).
 
-    (seed, vec_counter) are the tokens the code was encoded under.
+    (seed, vec_counter) are the tokens the code was encoded under; the code's
+    length is its padded dimension, and check_code judges it first.
     """
-    levels = np.asarray(code.levels)
-    signs = np.asarray(code.signs)
-    if levels.shape != signs.shape or levels.ndim != 1:
-        raise ValueError(f"malformed code: levels {levels.shape} vs signs {signs.shape}")
-    d = levels.shape[0]
+    d = np.size(code.levels)
+    check_code(code, d)
     if code.scale_idx == 0:
         return np.zeros(d)
-    if not np.all(np.abs(signs) == 1):
-        raise ValueError("sign entries must be -1 or +1 when the scale index is nonzero")
     sigma = scalar_dequant(code.scale_idx, d, num_levels)
-    q = np.ldexp(sigma, levels) * signs
+    q = np.ldexp(sigma, np.asarray(code.levels, dtype=np.int64)) * code.signs
     return apply_hd_inverse(q, derive_residual_signs(seed, vec_counter, d))

@@ -84,6 +84,13 @@ def sample_signs(seed: int, stream_id, d: int) -> np.ndarray:
     return np.where(halves < 0, 1.0, -1.0)
 
 
+def sample_uniforms(seed: int, stream_id, n):
+    """Draw n uniforms in [0, 1), or one float for n=None, keyed by (seed, stream_id)."""
+    # The draws of Generator.random(n), (word >> 11) * 2**-53, read from the raw
+    # words, which numpy keeps stable across releases (NEP 19).
+    return (stream_rng(seed, stream_id).bit_generator.random_raw(n) >> 11) * 2.0**-53
+
+
 def _fwht(v: np.ndarray) -> np.ndarray:
     # Unnormalized constant-geometry butterflies along the last axis, then
     # one d**-0.5 scale pass. Each stage reads the adjacent pairs of its

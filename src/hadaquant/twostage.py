@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import residual, vquant
 from .residual import ResidualCode, residual_dequant, residual_quant
 from .vquant import (
     QuantConfig,
@@ -31,6 +32,12 @@ class TwoStageCode:
     config: QuantConfig
 
 
+def check_code(code: TwoStageCode) -> None:
+    """Raise ValueError unless both stages are well formed under code.config."""
+    vquant.check_code(code.base, code.config)
+    residual.check_code(code.residual, code.config.padded_dim)
+
+
 def project_unit_ball(v) -> np.ndarray:
     """Identity inside the unit ball, radial projection outside; always a new array."""
     v = np.asarray(v, dtype=np.float64)
@@ -43,7 +50,7 @@ def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> T
     Both stages key their randomness off (seed, vec_counter), which the base
     code carries for the residual stage too. The base stage's sign diagonal
     and dither are derived once and reused to decode it here. Raises
-    ValueError only for a norm whose decode would overflow float64.
+    ValueError for tokens outside [0, 2**64) or an overflowing decode.
     """
     base, draws = _quantize(x, config, seed, vec_counter)
     target = np.zeros(config.padded_dim)
@@ -52,21 +59,19 @@ def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> T
         # The decoder recomputes the identical projected point, so the residual
         # is defined against exactly what the decoder will see.
         target -= project_unit_ball(_decode_padded_unit(base, config, draws))
-    residual = residual_quant(target, config.num_levels, seed, vec_counter)
-    code = TwoStageCode(base, residual, config)
+    code = TwoStageCode(base, residual_quant(target, config.num_levels, seed, vec_counter), config)
     _reject_overflowing_decode(base.norm, lambda: dequantize_two_stage(code))
     return code
 
 
 def dequantize_two_stage(code: TwoStageCode) -> np.ndarray:
     """Decode: stored norm times (projected base reconstruction plus residual)."""
+    check_code(code)
     config, base = code.config, code.base
     if base.norm == 0.0:
         return np.zeros(config.dim)
     approx = project_unit_ball(_decode_padded_unit(base, config))
     rhat = residual_dequant(code.residual, config.num_levels, base.seed, base.vec_counter)
-    if rhat.shape != approx.shape:
-        raise ValueError(f"residual length {rhat.shape} does not match {approx.shape}")
     return base.norm * (approx + rhat)[: config.dim]
 
 

@@ -21,7 +21,7 @@ from .transform import (
     apply_hd,
     apply_hd_inverse,
     sample_signs,
-    stream_rng,
+    sample_uniforms,
 )
 
 
@@ -61,12 +61,34 @@ class VectorCode:
     vec_counter: int
 
 
+def _check_tokens(seed, vec_counter) -> None:
+    for name, token in (("seed", seed), ("vec_counter", vec_counter)):
+        if not 0 <= token < 1 << 64:
+            raise ValueError(f"{name} {token} outside [0, 2**64)")
+
+
+def check_code(code: VectorCode, config: QuantConfig) -> None:
+    """Raise ValueError unless vector_quant can make code under config.
+
+    Such a code has padded_dim integer indices in [0, num_levels), a finite
+    norm >= 0, and seed and vec_counter in [0, 2**64).
+    """
+    _check_tokens(code.seed, code.vec_counter)
+    indices = np.asarray(code.indices)
+    if indices.shape != (config.padded_dim,) or indices.dtype.kind not in "iu":
+        raise ValueError(f"need {config.padded_dim} integer indices, got {indices.dtype}")
+    if int(indices.min()) < 0 or int(indices.max()) >= config.num_levels:
+        raise ValueError(f"bucket index outside [0, {config.num_levels})")
+    if not (math.isfinite(code.norm) and code.norm >= 0.0):
+        raise ValueError(f"stored norm must be finite and >= 0, got {code.norm}")
+
+
 def derive_base_signs(seed: int, vec_counter: int, padded_dim: int):
     return sample_signs(seed, (vec_counter, STREAM_BASE_SIGNS), padded_dim)
 
 
 def derive_dither(seed: int, vec_counter: int) -> float:
-    return float(stream_rng(seed, (vec_counter, STREAM_DITHER)).random())
+    return sample_uniforms(seed, (vec_counter, STREAM_DITHER), None)
 
 
 def scaled_norm(x: np.ndarray) -> float:
@@ -105,6 +127,8 @@ def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
     # vector_quant, also returning the (signs, dither) it derived, so
     # that the two-stage codec decodes its base stage without re-deriving
     # them; the draws are None for the zero vector, which derives nothing.
+    seed, vec_counter = int(seed), int(vec_counter)
+    _check_tokens(seed, vec_counter)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != config.dim:
         raise ValueError(f"expected a vector of length {config.dim}, got shape {x.shape}")
@@ -113,14 +137,14 @@ def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
     norm = scaled_norm(x)
     if norm == 0.0:
         indices = np.zeros(config.padded_dim, dtype=np.uint16)
-        return VectorCode(indices, 0.0, int(seed), int(vec_counter)), None
+        return VectorCode(indices, 0.0, seed, vec_counter), None
     signs = derive_base_signs(seed, vec_counter, config.padded_dim)
     dither = derive_dither(seed, vec_counter)
     unit = np.zeros(config.padded_dim)
     unit[: config.dim] = x / norm
     z = math.sqrt(config.padded_dim) * apply_hd(unit, signs)
     indices = quantize_scalar(z, config.mode, config.num_levels, dither).astype(np.uint16)
-    code = VectorCode(indices, norm, int(seed), int(vec_counter))
+    code = VectorCode(indices, norm, seed, vec_counter)
     _reject_overflowing_decode(norm, lambda: vector_dequant(code, config))
     return code, (signs, dither)
 
@@ -129,17 +153,15 @@ def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorC
     """Encode x: pad, transform with a fresh sign diagonal, bucket every coordinate.
 
     Any finite x is accepted, except one whose decode would overflow float64.
+    seed and vec_counter must lie in [0, 2**64), the range the streams key on.
     """
     return _quantize(x, config, seed, vec_counter)[0]
 
 
 def _decode_padded_unit(code: VectorCode, config: QuantConfig, draws=None) -> np.ndarray:
-    # Reconstruction of the unit direction in padded space (no norm scaling,
-    # no truncation); shared by the plain decoder and the two-stage codec.
-    # Both reach it for every nonzero norm, so it rejects the norms no encode
-    # makes. draws is the (signs, dither) pair of the code, if already known.
-    if not (math.isfinite(code.norm) and code.norm >= 0.0):
-        raise ValueError(f"stored norm must be finite and >= 0, got {code.norm}")
+    # Unit direction of a checked code in padded space (no norm scaling, no
+    # truncation), for both decoders; draws is the code's (signs, dither)
+    # pair, if already known.
     if draws is None:
         draws = (
             derive_base_signs(code.seed, code.vec_counter, config.padded_dim),
@@ -152,14 +174,8 @@ def _decode_padded_unit(code: VectorCode, config: QuantConfig, draws=None) -> np
 
 
 def vector_dequant(code: VectorCode, config: QuantConfig) -> np.ndarray:
-    """Decode a VectorCode back to a length-dim vector."""
-    indices = np.asarray(code.indices)
-    if indices.shape != (config.padded_dim,):
-        raise ValueError(
-            f"index length {indices.shape} does not match padded dim {config.padded_dim}"
-        )
-    if indices.size and int(indices.max()) >= config.num_levels:
-        raise ValueError(f"bucket index >= {config.num_levels}")
+    """Decode a VectorCode back to a length-dim vector; check_code judges it first."""
+    check_code(code, config)
     if code.norm == 0.0:
         return np.zeros(config.dim)
     return code.norm * _decode_padded_unit(code, config)[: config.dim]

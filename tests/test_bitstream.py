@@ -178,6 +178,15 @@ def test_level_overrun_rejected():
         decode(bytes(payload))
 
 
+def test_level_overrun_inside_a_complete_level_block_rejected():
+    # all four levels end and the signs follow, but one unary run is too long
+    header = encode(_code(bits=1, scale_idx=2, levels=np.zeros(4)))[: HEADER.size]
+    runs = [np.ones(MAX_LEVEL + 1, np.uint8), np.zeros(4, np.uint8), np.ones(4, np.uint8)]
+    body = np.packbits(np.concatenate([np.zeros(4, np.uint8), *runs]), bitorder="little")
+    with pytest.raises(LevelOverrunError):
+        decode(header + body.tobytes())
+
+
 def test_header_field_sanity_rejected():
     payload = bytearray(encode(_code()))
     payload[8:12] = (0).to_bytes(4, "little")  # dim = 0

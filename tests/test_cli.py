@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -167,3 +168,36 @@ def test_bench_explicit_zero_is_rejected(flag, capsys):
     args = {"--dim": "16", "--bits": "4", "--trials": "3", flag: "0"}
     assert main(["bench", "rate", *(item for pair in args.items() for item in pair)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, text, message", [
+    (b"\n  \n", True, "no vectors found"),
+    (b"1 2\n3\n", True, "inconsistent vector lengths"),
+    (struct.pack("<4sII", b"HQVX", 1, 1) + bytes(8), False, "bad magic"),
+    (struct.pack("<4sII", b"HQVF", 0, 3), False, "empty vector file"),
+    (struct.pack("<4sII", b"HQVF", 1, 2) + bytes(8), False, "expected 28 bytes, found 20"),
+], ids=["no-vectors", "mixed-widths", "bad-magic", "empty", "wrong-byte-count"])
+def test_read_vectors_rejects_malformed_files(tmp_path, content, text, message):
+    path = tmp_path / "vectors"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=message):
+        read_vectors(path, text=text)
+
+
+def test_dequantize_rejects_mixed_dimensions(tmp_path, capsys):
+    codes = tmp_path / "codes"
+    codes.mkdir()
+    for counter, dim in enumerate((4, 6)):
+        payload = encode_vector(np.ones(dim), QuantConfig(dim=dim, bits=3), 0, counter)
+        (codes / f"vec_{counter:05d}.hq").write_bytes(payload)
+    out = tmp_path / "out.vec"
+    assert main(["dequantize", "--input", str(codes), "--output", str(out)]) == 1
+    assert "mixed dimensions [4, 6]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_oracle_passes_every_row(capsys):
+    assert main(["bench", "oracle"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    # three enumeration identities and the dense-Hadamard orthonormality
+    assert len(rows) == 4 and all(row.startswith("oracle/") and " PASS " in row for row in rows)

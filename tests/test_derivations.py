@@ -11,8 +11,16 @@ import pytest
 
 from hadaquant import bench
 from hadaquant.codebook import BIASED, UNBIASED
+from hadaquant.residual import derive_residual_signs, residual_quant, scalar_dequant
+from hadaquant.transform import (
+    STREAM_DITHER,
+    STREAM_SIGN_BITS,
+    _mix64,
+    _philox_key,
+    apply_hd,
+)
 from hadaquant.twostage import quantize_two_stage
-from hadaquant.vquant import QuantConfig, vector_quant
+from hadaquant.vquant import QuantConfig, derive_dither, vector_quant
 
 COUNTED = (
     "codebook.build_codebook",
@@ -75,3 +83,28 @@ def test_dither_average_builds_one_table_stack_per_gauss_piece(monkeypatch):
     counts = _count_calls(monkeypatch, ("codebook.build_codebook", "oracle._gauss_piece"))
     bench.dither_average_error(4)
     assert counts == {"codebook.build_codebook": 228, "oracle._gauss_piece": 228}
+
+
+def _raw_uniforms(seed, stream_id, n):
+    # (word >> 11) * 2**-53 of a bare Philox under the key stream_rng derives:
+    # numpy keeps raw words stable across releases, Generator methods not.
+    key_lo = _mix64(seed)
+    for token in stream_id:
+        key_lo = _mix64(key_lo ^ _mix64(token))
+    key = _philox_key(key_lo, _mix64(key_lo ^ 0x9E3779B97F4A7C15))
+    return (np.random.Philox(key=key).random_raw(n) >> 11) * 2.0**-53
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 1, 2**64 - 1])
+def test_dither_and_sign_bits_are_raw_philox_words(seed):
+    d, num_levels = 16, 8
+    r = 0.3 * np.random.default_rng(94).standard_normal(d)
+    for counter in range(30):
+        dither = _raw_uniforms(seed, (counter, STREAM_DITHER), 1)[0]
+        assert derive_dither(seed, counter) == dither
+        code = residual_quant(r, num_levels, seed, counter)
+        assert code.scale_idx > 0
+        v = apply_hd(r, derive_residual_signs(seed, counter, d))
+        radius = np.ldexp(scalar_dequant(code.scale_idx, d, num_levels), code.levels)
+        uniforms = _raw_uniforms(seed, (counter, STREAM_SIGN_BITS), d)
+        assert np.array_equal(code.signs, np.where(uniforms < 0.5 * (1.0 + v / radius), 1, -1))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hadaquant import residual
 from hadaquant.residual import (
     LEVEL_SUM_COEFF,
     MAX_LEVEL,
@@ -64,7 +65,12 @@ def _residual_for_transformed(v, seed, vec_counter):
     return apply_hd_inverse(np.asarray(v, dtype=np.float64), diag)
 
 
-def test_levels_and_radii_worked_example():
+def _fresh_sign_bits(monkeypatch, draw):
+    # Replace the sign-bit stream, keeping the sign diagonal fixed.
+    monkeypatch.setattr(residual, "sample_uniforms", lambda seed, stream_id, n: draw(n))
+
+
+def test_levels_and_radii_worked_example(monkeypatch):
     # sigma = 0.5 at d=4, num_levels=4; transformed magnitudes (0.7, .5, .1, 0)
     v = np.array([0.7, 0.5, 0.1, 0.0])
     r = _residual_for_transformed(v, seed=9, vec_counter=0)
@@ -73,22 +79,21 @@ def test_levels_and_radii_worked_example():
     assert scalar_dequant(code.scale_idx, 4, 4) == 0.5
     assert list(code.levels) == [1, 0, 0, 0]
     # v = radius exactly (0.5 = sigma * 2^0) forces a deterministic +1 sign
-    for draw in range(20):
-        fresh = residual_quant(r, 4, 9, 0, sign_rng=stream_rng(1234, draw))
-        assert fresh.signs[1] == 1
+    with monkeypatch.context() as patch:
+        for draw in range(20):
+            _fresh_sign_bits(patch, stream_rng(1234, draw).random)
+            assert residual_quant(r, 4, 9, 0).signs[1] == 1
     # decoded magnitudes are radius * sign
     decoded_q = np.abs(apply_hd(residual_dequant(code, 4, 9, 0), derive_residual_signs(9, 0, 4)))
     assert decoded_q == pytest.approx([1.0, 0.5, 0.5, 0.5], abs=1e-12)
 
 
-def test_sign_bias_matches_probability():
+def test_sign_bias_matches_probability(monkeypatch):
     # P(sign=+1) = (1 + v/radius)/2 = 0.85 for v=0.7, radius=1.0
     v = np.array([0.7, 0.5, 0.1, 0.0])
     r = _residual_for_transformed(v, seed=9, vec_counter=0)
-    rng = stream_rng(555, 0)
-    hits = sum(
-        residual_quant(r, 4, 9, 0, sign_rng=rng).signs[0] == 1 for _ in range(2000)
-    )
+    _fresh_sign_bits(monkeypatch, stream_rng(555, 0).random)
+    hits = sum(residual_quant(r, 4, 9, 0).signs[0] == 1 for _ in range(2000))
     assert abs(hits / 2000 - 0.85) <= 0.03
 
 
@@ -224,3 +229,8 @@ def test_rejects_malformed_code():
     zeroed = ResidualCode(code.scale_idx, code.levels, np.zeros(4, dtype=np.int8))
     with pytest.raises(ValueError):
         residual_dequant(zeroed, 4, 0, 0)
+    # levels above the cap decoded to inf, negative ones silently
+    for level in (MAX_LEVEL + 1, -1):
+        bad = ResidualCode(code.scale_idx, np.full(4, level), code.signs)
+        with pytest.raises(ValueError, match="levels"):
+            residual_dequant(bad, 4, 0, 0)

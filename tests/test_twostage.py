@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -146,3 +147,30 @@ def test_estimate_rejects_non_finite_query(bad):
         estimate_inner_product(code, y)
     with pytest.raises(ValueError, match="NaN or infinite"):
         estimate_inner_product(code, np.full(8, bad))
+
+
+# (stage, field, corruption): codes no encoder makes; a decode of the first
+# two gave inf/NaN or silently wrong values, the last two a wrapped or
+# IndexError lookup. The stage decoders get the same cases in
+# test_vquant.py and test_residual.py.
+_MALFORMED = {
+    "level-above-cap": ("residual", "levels", lambda a: np.full_like(a, 2000)),
+    "negative-level": ("residual", "levels", lambda a: np.full_like(a, -1)),
+    "negative-index": ("base", "indices", lambda a: np.concatenate(([-1], a[1:]))),
+    "float-indices": ("base", "indices", lambda a: a.astype(np.float64)),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_two_stage_decoders_reject_a_malformed_code(case):
+    stage, field, corrupt = _MALFORMED[case]
+    cfg = QuantConfig(dim=4, bits=3)
+    code = quantize_two_stage(np.array([3.0, -2.0, 1.0, 0.5]), cfg, 0, 1)
+    assert code.residual.scale_idx > 0
+    part = getattr(code, stage)
+    part = dataclasses.replace(part, **{field: corrupt(getattr(part, field))})
+    bad = dataclasses.replace(code, **{stage: part})
+    with pytest.raises(ValueError):
+        dequantize_two_stage(bad)
+    with pytest.raises(ValueError):
+        estimate_inner_product(bad, np.ones(4))

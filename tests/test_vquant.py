@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hadaquant.codebook import BIASED, UNBIASED, build_codebook, cdf, quantize_scalar
 from hadaquant.oracle import u_average
 from hadaquant.transform import apply_hd, apply_hd_inverse
+from hadaquant.twostage import quantize_two_stage
 from hadaquant.vquant import (
     QuantConfig,
     VectorCode,
@@ -203,3 +205,21 @@ def test_decode_rejects_out_of_range_index():
     short = VectorCode(code.indices[:2], code.norm, 0, 0)
     with pytest.raises(ValueError):
         vector_dequant(short, cfg)
+    # a negative index wrapped to the top bucket; float indices gave IndexError
+    for indices in (np.array([-1, 0, 0, 0]), code.indices.astype(np.float64)):
+        with pytest.raises(ValueError, match="index|indices"):
+            vector_dequant(VectorCode(indices, code.norm, 0, 0), cfg)
+
+
+@pytest.mark.parametrize("seed, counter", [(2**64, 0), (-1, 0), (0, 2**64), (0, -1)])
+def test_tokens_outside_u64_are_rejected(seed, counter):
+    # the streams key on the tokens mod 2**64, so 2**64 encoded as seed 0 did
+    cfg = QuantConfig(dim=4, bits=3)
+    for x in (np.array([3.0, -2.0, 1.0, 0.5]), np.zeros(4)):
+        with pytest.raises(ValueError, match="outside"):
+            vector_quant(x, cfg, seed, counter)
+        with pytest.raises(ValueError, match="outside"):
+            quantize_two_stage(x, cfg, seed, counter)
+    code = dataclasses.replace(vector_quant(np.ones(4), cfg, 0, 0), seed=seed, vec_counter=counter)
+    with pytest.raises(ValueError, match="outside"):
+        vector_dequant(code, cfg)
