@@ -18,8 +18,14 @@ or a 1-D array of n dithers and returns one table or an ``(n, size)`` stack,
 built in one pass over the rows; a float is a batch of one, so every row
 has the bits of the table its dither builds alone. ``quantize_scalar``
 broadcasts its inputs against an array of dithers.
+
+A build allocates only its result: every pass runs in place in the returned
+array, and the dither-independent offsets are computed once per table size
+and kept read-only. At 2**16 entries a full-size temporary is 512 KiB, which
+the C allocator maps fresh and page-faults in on every use.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -56,74 +62,125 @@ def inv_cdf(p):
     return float(out) if out.ndim == 0 else out
 
 
-def _inv_cdf_slope(s: np.ndarray) -> np.ndarray:
-    # (inv_cdf)'(s) = 1 / density(inv_cdf(s)); +inf outside (0, 1), which keeps
-    # divergent sums well-defined instead of raising. The operations of
-    # 1 / (_PDF_NORM * exp(-(_SQRT3 * ndtri(s))**2 / 6)), in that order, run in
-    # place on one buffer: at 2**16 entries the temporaries cost as much as
+def _inv_cdf_slope(s: np.ndarray, inside: bool) -> None:
+    # Writes (inv_cdf)'(s) = 1 / density(inv_cdf(s)) over the float64 array s:
+    # +inf outside (0, 1), which keeps divergent sums well-defined instead of
+    # raising. The caller passes inside=True when it knows every entry lies in
+    # (0, 1); otherwise the entries outside are found and skipped. The
+    # operations of 1 / (_PDF_NORM * exp(-(_SQRT3 * ndtri(s))**2 / 6)), in
+    # that order, run in place: at 2**16 entries a temporary costs as much as
     # the arithmetic.
-    s = np.asarray(s, dtype=np.float64)
-    ok = (s > 0.0) & (s < 1.0)
-    inside = bool(ok.all())
+    ok = True if inside else (s > 0.0) & (s < 1.0)
     with np.errstate(divide="ignore", over="ignore"):
-        q = ndtri(s if inside else s[ok])
-        q *= _SQRT3
-        q *= q
-        q /= -6.0
-        np.exp(q, out=q)
-        q *= _PDF_NORM
-        np.divide(1.0, q, out=q)
-    if inside:
-        return q
-    out = np.full(s.shape, np.inf)
-    out[ok] = q
-    return out
+        ndtri(s, out=s, where=ok)
+        np.multiply(s, _SQRT3, out=s, where=ok)
+        np.multiply(s, s, out=s, where=ok)
+        np.divide(s, -6.0, out=s, where=ok)
+        np.exp(s, out=s, where=ok)
+        np.multiply(s, _PDF_NORM, out=s, where=ok)
+        np.divide(1.0, s, out=s, where=ok)
+    if not inside:
+        s[~ok] = np.inf
 
 
 def _biased_grid_points(j, size: int, dither) -> np.ndarray:
     # Quantile boundaries j of the biased buckets: pinned endpoints, dithered
-    # interior. The bucket rule and the table builder share this one helper.
+    # interior, (j + dither) / size. The bucket rule computes them here; the
+    # table builder computes the same expression in its result array.
     j = np.asarray(j)
     return np.where(j == 0, 0.0, np.where(j == size, 1.0, (j + dither) / size))
 
 
+@functools.lru_cache(maxsize=8)
+def _interior_indices(size: int) -> np.ndarray:
+    out = np.arange(1, size, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
 def _build_biased(size: int, dither: np.ndarray) -> np.ndarray:
-    grid = _biased_grid_points(np.arange(size + 1), size, dither[:, None])
-    mids = (grid[:, :-1] + grid[:, 1:]) / 2.0
+    # Slot j first holds grid point j; one forward pass over the flattened
+    # rows then adds each slot's right neighbour, so slot j becomes the
+    # midpoint sum of bucket j. The last slot of a row meanwhile adds the next
+    # row's grid point 0, which is 0.0, and then adds grid point size, 1.0.
+    recon = np.empty((dither.size, size))
+    recon[:, 0] = 0.0
+    interior = recon[:, 1:]
+    np.add(_interior_indices(size), dither[:, None], out=interior)
+    interior /= size
+    flat = recon.reshape(-1)
+    np.add(flat[:-1], flat[1:], out=flat[:-1])
+    recon[:, -1] += 1.0
+    recon /= 2.0
     # Next to dither 1 the top bucket's midpoint 1 - (1 - dither) / (2 * size)
     # rounds to 1.0, where inv_cdf diverges; that entry is then taken from the
     # upper tail, as inv_cdf(1 - q) = -inv_cdf(q).
-    top = mids[:, -1]
+    top = recon[:, -1]
     tail = top >= 1.0
     top[tail] = (1.0 - dither[tail]) / (2 * size)
-    recon = inv_cdf(mids)
+    ndtri(recon, out=recon)
+    recon *= _SQRT3
     recon[tail, -1] *= -1.0
     return recon
 
 
-def _unbiased_sweep(size: int, dither: np.ndarray, k0: int) -> np.ndarray:
-    # Reconstruction arguments (j + dither - 1/2) * spacing share one cell
-    # representative u, at cell offsets k0 .. k0 + size - 1 with k0 <= 0, so
-    # each row is one cumulative sweep of midpoint slopes anchored at offset 0
-    # (entry -k0): O(size) per row.
+@functools.lru_cache(maxsize=8)
+def _unbiased_offsets(size: int) -> np.ndarray:
+    # Row b holds the cell offsets (k + 1/2) * spacing, k = k0 .. k0 + size - 2,
+    # of the sweep with k0 = b - size // 2, laid out as _build_unbiased lays
+    # out its increments: offset k - k0 in slot k - k0 below the anchor slot
+    # -k0 and in slot k - k0 + 1 above it. The anchor slot repeats a
+    # neighbour, so each row is nondecreasing.
+    half = size // 2
     spacing = 1.0 / (size - 1)
+    cells = (np.arange(-half, half, dtype=np.float64) + 0.5) * spacing
+    out = np.stack([np.insert(cells[:-1], half, cells[half - 1]),
+                    np.insert(cells[1:], half - 1, cells[half])])
+    out.flags.writeable = False
+    return out
+
+
+def _build_unbiased(size: int, dither: np.ndarray) -> np.ndarray:
+    # Reconstruction arguments (j + dither - 1/2) * spacing share one cell
+    # representative u, at cell offsets k0 .. k0 + size - 1 with
+    # k0 = ceil(dither - 1/2) - size/2 <= 0, so each row is one cumulative
+    # sweep of midpoint slopes anchored at offset 0 (entry -k0): O(size) per
+    # row. Rows with dither > 1/2 have the larger of k0's two values.
+    spacing = 1.0 / (size - 1)
+    high = dither > 0.5
+    k0 = high - size // 2
     u = (dither - 0.5) * spacing - k0 * spacing
-    mids = u[:, None] + (np.arange(k0, k0 + size - 1, dtype=np.float64) + 0.5) * spacing
-    inc = _inv_cdf_slope(mids)
-    inc *= spacing
-    # Partial sums accumulated outward from the anchor, so that a divergent
-    # increment next to a domain endpoint cannot poison the rest; the sums
-    # below the anchor run from it downwards, written in place reversed.
-    # cumsum along axis 1 adds in order, so each row gets the bits of a 1-D sweep.
-    m = -k0
     recon = np.empty((dither.size, size))
-    below = recon[:, :m]
-    np.cumsum(inc[:, :m][:, ::-1], axis=1, out=below[:, ::-1])
+    for rows, offsets in zip((~high, high), _unbiased_offsets(size)):
+        if rows.all():
+            np.add(u[:, None], offsets, out=recon)
+        elif rows.any():
+            np.add(u[:, None], offsets, out=recon, where=rows[:, None])
+    # The rows are nondecreasing, so their ends decide whether every
+    # midpoint lies inside the domain.
+    inside = bool((recon[:, 0] > 0.0).all() and (recon[:, -1] < 1.0).all())
+    _inv_cdf_slope(recon, inside)
+    recon *= spacing
+    # Partial sums accumulated outward from the anchor, so that a divergent
+    # increment next to a domain endpoint cannot poison the rest. With the
+    # anchor at 0.0, the sums below it run in place over the reversed first
+    # half of every row and the sums above it over the second half, whichever
+    # the row's k0: a sum that starts at the anchor adds 0.0 first, which is
+    # exact. cumsum along axis 1 adds in order, so each row gets the bits of a
+    # 1-D sweep.
+    anchors = (np.arange(dither.size), -k0)
+    recon[anchors] = 0.0
+    below = recon[:, : size // 2][:, ::-1]
+    np.cumsum(below, axis=1, out=below)
     np.negative(below, out=below)
-    recon[:, m] = 0.0
-    np.cumsum(inc[:, m:], axis=1, out=recon[:, m + 1 :])
+    above = recon[:, size // 2 :]
+    np.cumsum(above, axis=1, out=above)
+    recon[anchors] = 0.0  # the negation left -0.0 at anchors in the first half
     # u <= 1 always; u == 1 (size 2, dither 1/2) anchors at +inf.
     recon += (_SQRT3 * ndtri(u))[:, None]
+    # A row's ends are its extremes, so a non-finite entry shows at an end.
+    for i in np.flatnonzero(~(np.isfinite(recon[:, 0]) & np.isfinite(recon[:, -1]))):
+        _saturate(recon[i])
     return recon
 
 
@@ -137,27 +194,6 @@ def _saturate(row: np.ndarray) -> None:
     for j in range(1, row.size):
         if row[j] <= row[j - 1]:
             row[j] = row[j - 1] + 1.0
-
-
-def _build_unbiased(size: int, dither: np.ndarray) -> np.ndarray:
-    # The cell offset k0 = ceil(dither - 1/2) - size/2 takes two values, so
-    # the rows split into (at most) two groups of one sweep each.
-    low = dither <= 0.5
-    k_low, k_high = -(size // 2), 1 - size // 2
-    num_low = np.count_nonzero(low)
-    if num_low == dither.size:
-        recon = _unbiased_sweep(size, dither, k_low)
-    elif num_low == 0:
-        recon = _unbiased_sweep(size, dither, k_high)
-    else:
-        recon = np.empty((dither.size, size))
-        recon[low] = _unbiased_sweep(size, dither[low], k_low)
-        recon[~low] = _unbiased_sweep(size, dither[~low], k_high)
-    finite = np.isfinite(recon)
-    if not finite.all():
-        for i in np.flatnonzero(~finite.all(axis=1)):
-            _saturate(recon[i])
-    return recon
 
 
 def _check_args(mode: str, num_levels: int, dither) -> np.ndarray:

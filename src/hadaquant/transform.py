@@ -38,10 +38,29 @@ def is_power_of_two(n: int) -> bool:
 
 def _mix64(x: int) -> int:
     # SplitMix64 finalizer; bijective on 64-bit words.
-    x &= _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def check_token(name: str, token: int) -> None:
+    """Raise ValueError unless token lies in [0, 2**64), the range stream keys cover."""
+    if not 0 <= token < 1 << 64:
+        raise ValueError(f"{name} {token} outside [0, 2**64)")
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    # A seed sequence that hands Philox a fixed key. Philox(key=...) first
+    # seeds a SeedSequence from OS entropy, which the key then overrides;
+    # passed this instead, Philox reads the key and touches no entropy.
+
+    def __init__(self, key: np.ndarray):
+        self._key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return self._key
 
 
 def stream_rng(seed: int, stream_id) -> np.random.Generator:
@@ -49,13 +68,18 @@ def stream_rng(seed: int, stream_id) -> np.random.Generator:
 
     ``stream_id`` may be an integer or a tuple of integers. Distinct ids
     under the same seed give statistically independent Philox streams;
-    the same (seed, stream_id) always reproduces the same stream.
+    the same (seed, stream_id) always reproduces the same stream. The seed
+    and every token of the id must lie in [0, 2**64), else ValueError.
     """
-    key_lo = _mix64(int(seed))
+    seed = int(seed)
+    check_token("seed", seed)
+    key_lo = _mix64(seed)
     for token in stream_id if isinstance(stream_id, tuple) else (stream_id,):
-        key_lo = _mix64(key_lo ^ _mix64(int(token)))
+        token = int(token)
+        check_token("stream token", token)
+        key_lo = _mix64(key_lo ^ _mix64(token))
     key_hi = _mix64(key_lo ^ 0x9E3779B97F4A7C15)
-    return np.random.Generator(np.random.Philox(key=_philox_key(key_lo, key_hi)))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(_philox_key(key_lo, key_hi))))
 
 
 def _philox_key(key_lo: int, key_hi: int) -> np.ndarray:

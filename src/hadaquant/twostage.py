@@ -65,13 +65,21 @@ def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> T
 
 
 def dequantize_two_stage(code: TwoStageCode) -> np.ndarray:
-    """Decode: stored norm times (projected base reconstruction plus residual)."""
-    check_code(code)
+    """Decode: stored norm times (projected base reconstruction plus residual).
+
+    Raises ValueError unless check_code passes. Each code is checked once:
+    residual_dequant checks the residual against its own length, which must
+    be the padded dimension.
+    """
     config, base = code.config, code.base
+    vquant.check_code(base, config)
+    length = np.size(code.residual.levels)
+    if length != config.padded_dim:
+        raise ValueError(f"residual length {length} differs from padded dim {config.padded_dim}")
+    rhat = residual_dequant(code.residual, config.num_levels, base.seed, base.vec_counter)
     if base.norm == 0.0:
         return np.zeros(config.dim)
     approx = project_unit_ball(_decode_padded_unit(base, config))
-    rhat = residual_dequant(code.residual, config.num_levels, base.seed, base.vec_counter)
     return base.norm * (approx + rhat)[: config.dim]
 
 

@@ -20,6 +20,7 @@ from .transform import (
     STREAM_DITHER,
     apply_hd,
     apply_hd_inverse,
+    check_token,
     sample_signs,
     sample_uniforms,
 )
@@ -62,9 +63,8 @@ class VectorCode:
 
 
 def _check_tokens(seed, vec_counter) -> None:
-    for name, token in (("seed", seed), ("vec_counter", vec_counter)):
-        if not 0 <= token < 1 << 64:
-            raise ValueError(f"{name} {token} outside [0, 2**64)")
+    check_token("seed", seed)
+    check_token("vec_counter", vec_counter)
 
 
 def check_code(code: VectorCode, config: QuantConfig) -> None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,24 @@ def test_tables_match_reference_on_saturation_branch():
             assert saturated, (size, dither)
             assert np.array_equal(build_codebook(UNBIASED, size, dither), recon), (size, dither)
             assert np.array_equal(rows[i], recon), (size, dither)
+
+
+@pytest.mark.parametrize("mode", [BIASED, UNBIASED])
+@pytest.mark.parametrize("dither", [0.3, 0.7, np.array([0.3, 0.7, 0.5])],
+                         ids=["low", "high", "mixed-stack"])
+def test_build_at_bits_16_allocates_only_its_result(mode, dither):
+    # after a warm-up build, a table is built inside the array it returns;
+    # the stack mixes both cell offsets and keeps every row's bits
+    build_codebook(mode, 1 << 16, dither)
+    tracemalloc.start()
+    try:
+        table = build_codebook(mode, 1 << 16, dither)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes, peak / table.nbytes
+    for row, d in zip(np.atleast_2d(table), np.atleast_1d(dither)):
+        assert np.array_equal(row, build_codebook(mode, 1 << 16, float(d))), d
 
 
 def test_build_rejects_bad_args():

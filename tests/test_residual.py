@@ -234,3 +234,14 @@ def test_rejects_malformed_code():
         bad = ResidualCode(code.scale_idx, np.full(4, level), code.signs)
         with pytest.raises(ValueError, match="levels"):
             residual_dequant(bad, 4, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_rejects_tokens_outside_64_bits(bad):
+    # they used to be reduced mod 2**64: seed -1 coded like seed 2**64 - 1
+    r = np.full(4, 0.3)
+    for seed, counter in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError, match="outside"):
+            residual_quant(r, 4, seed, counter)
+        with pytest.raises(ValueError, match="outside"):
+            residual_dequant(residual_quant(r, 4, 0, 0), 4, seed, counter)

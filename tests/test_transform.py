@@ -12,6 +12,7 @@ from hadaquant.transform import (
     apply_hd_inverse,
     fwht_normalized,
     sample_signs,
+    sample_uniforms,
     stream_rng,
 )
 
@@ -135,6 +136,18 @@ def test_sign_diagonal_validates_entries():
             apply(np.zeros(2), np.array([1.0, 0.5]))
         with pytest.raises(ValueError, match="power of two"):
             apply(np.zeros(3), np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, -(2**64)])
+def test_stream_tokens_outside_64_bits_rejected(bad):
+    # they used to be reduced mod 2**64, so -1 named the stream of 2**64 - 1
+    for seed, stream_id in ((bad, 0), (0, bad), (0, (1, bad)), (bad, (1, 2))):
+        with pytest.raises(ValueError, match="outside"):
+            stream_rng(seed, stream_id)
+        with pytest.raises(ValueError, match="outside"):
+            sample_signs(seed, stream_id, 4)
+        with pytest.raises(ValueError, match="outside"):
+            sample_uniforms(seed, stream_id, 3)
 
 
 # Philox keys: numpy's reading of the list [key_lo, key_hi] is the contract,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hadaquant import bitstream
+from hadaquant import bitstream, residual, vquant
 from hadaquant.residual import ResidualCode
 from hadaquant.twostage import (
     TwoStageCode,
@@ -174,3 +174,18 @@ def test_two_stage_decoders_reject_a_malformed_code(case):
         dequantize_two_stage(bad)
     with pytest.raises(ValueError):
         estimate_inner_product(bad, np.ones(4))
+
+
+def test_two_stage_decode_checks_each_stage_once(monkeypatch):
+    # the residual is judged inside residual_dequant only, the zero vector's too
+    calls = []
+    for module in (vquant, residual):
+        check = module.check_code
+        monkeypatch.setattr(module, "check_code",
+                            lambda *a, _m=module, _c=check: calls.append(_m.__name__) or _c(*a))
+    cfg = QuantConfig(dim=4, bits=3)
+    for x in (np.array([3.0, -2.0, 1.0, 0.5]), np.zeros(4)):
+        code = quantize_two_stage(x, cfg, 0, 1)
+        calls.clear()
+        dequantize_two_stage(code)
+        assert sorted(calls) == ["hadaquant.residual", "hadaquant.vquant"]
