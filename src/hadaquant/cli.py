@@ -46,7 +46,8 @@ def write_vectors(path, vectors: np.ndarray, text: bool = False):
         return
     with open(path, "wb") as fh:
         fh.write(_VEC_HEADER.pack(VEC_MAGIC, vectors.shape[0], vectors.shape[1]))
-        fh.write(vectors.astype("<f8").tobytes())
+        # the array's own buffer: no copy of a C-ordered little-endian matrix
+        fh.write(np.ascontiguousarray(vectors, dtype="<f8"))
 
 
 def read_vectors(path, text: bool = False) -> np.ndarray:

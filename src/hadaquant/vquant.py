@@ -124,9 +124,11 @@ def _reject_overflowing_decode(norm: float, decode) -> None:
 
 
 def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
-    # vector_quant, also returning the (signs, dither) it derived, so
-    # that the two-stage codec decodes its base stage without re-deriving
-    # them; the draws are None for the zero vector, which derives nothing.
+    # vector_quant without its decode check, also returning the (signs,
+    # dither) it derived, so that the two-stage codec decodes its base stage
+    # without re-deriving them; the draws are None for the zero vector, which
+    # derives nothing. The two-stage decode never scales the base alone by
+    # the norm, so that codec checks its own decode instead.
     seed, vec_counter = int(seed), int(vec_counter)
     _check_tokens(seed, vec_counter)
     x = np.asarray(x, dtype=np.float64)
@@ -144,9 +146,7 @@ def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
     unit[: config.dim] = x / norm
     z = math.sqrt(config.padded_dim) * apply_hd(unit, signs)
     indices = quantize_scalar(z, config.mode, config.num_levels, dither).astype(np.uint16)
-    code = VectorCode(indices, norm, seed, vec_counter)
-    _reject_overflowing_decode(norm, lambda: vector_dequant(code, config))
-    return code, (signs, dither)
+    return VectorCode(indices, norm, seed, vec_counter), (signs, dither)
 
 
 def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorCode:
@@ -155,7 +155,9 @@ def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorC
     Any finite x is accepted, except one whose decode would overflow float64.
     seed and vec_counter must lie in [0, 2**64), the range the streams key on.
     """
-    return _quantize(x, config, seed, vec_counter)[0]
+    code = _quantize(x, config, seed, vec_counter)[0]
+    _reject_overflowing_decode(code.norm, lambda: vector_dequant(code, config))
+    return code
 
 
 def _decode_padded_unit(code: VectorCode, config: QuantConfig, draws=None) -> np.ndarray:

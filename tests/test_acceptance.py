@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from hadaquant import bench, bitstream
 from hadaquant.codebook import (
@@ -18,14 +17,15 @@ from hadaquant.codebook import (
     inv_cdf,
     quantize_scalar,
 )
-from hadaquant.oracle import dense_hadamard, u_average, unbiased_recon
+from hadaquant.oracle import dense_hadamard, u_average
 from hadaquant.residual import ResidualCode
 from hadaquant.transform import fwht_normalized, sample_signs, apply_hd
 from hadaquant.twostage import TwoStageCode
 from hadaquant.vquant import QuantConfig, VectorCode
 
+from scalar_reference import window_average
+
 SEED = 20240805
-MSE_CONSTANT = math.pi * math.sqrt(3.0) / 2.0
 
 
 def _report(number: int, name: str, ok: bool, detail: str):
@@ -137,29 +137,11 @@ def test_criterion_5_exact_enumeration_suite():
         assert error <= 1e-12, quantity
 
 
-def _window_average(r, num_levels, nodes=64):
-    spacing = 1.0 / (num_levels - 1)
-    lo, hi = r - spacing / 2, r + spacing / 2
-    cuts = [lo, hi]
-    k = math.floor((lo - (1 + spacing) / 2) / spacing)
-    for j in (k, k + 1, k + 2):
-        s = (1 + spacing) / 2 + j * spacing
-        if lo < s < hi:
-            cuts.append(s)
-    cuts.sort()
-    x, w = leggauss(nodes)
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        xs = (x + 1.0) / 2.0 * (b - a) + a
-        total += float(np.sum(w * (b - a) / 2.0 * [unbiased_recon(s, num_levels) for s in xs]))
-    return total / spacing
-
-
 def test_criterion_6_recon_map_window_identity():
     worst = 0.0
     for num_levels in (8, 64):
         for r in (0.1, 0.3, 0.5, 0.77, 0.9):
-            worst = max(worst, abs(_window_average(r, num_levels) - inv_cdf(r)))
+            worst = max(worst, abs(window_average(r, num_levels) - inv_cdf(r)))
     ok = worst <= 1e-7
     _report(6, "reconstruction-map window identity", ok, f"worst error {worst:.2e} (gate 1e-7)")
     assert worst <= 1e-7
@@ -234,11 +216,11 @@ def test_distortion_trend_toward_constant():
     for bits in (3, 8):
         row = bench.mse_suite(128, bits, 2000, SEED)[0]
         stats[bits] = row.measured
-    drift_ok = abs(stats[8] - MSE_CONSTANT) < abs(stats[3] - MSE_CONSTANT)
+    drift_ok = abs(stats[8] - bench.MSE_CONSTANT) < abs(stats[3] - bench.MSE_CONSTANT)
     _report(
         0,
         "trend",
         drift_ok,
-        f"4^b*MSE at b=3: {stats[3]:.3f}, b=8: {stats[8]:.3f}, target {MSE_CONSTANT:.4f}",
+        f"4^b*MSE at b=3: {stats[3]:.3f}, b=8: {stats[8]:.3f}, target {bench.MSE_CONSTANT:.4f}",
     )
     assert drift_ok

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,24 @@ def test_vector_file_roundtrip_binary_and_text(tmp_path):
         write_vectors(path, vecs, text=text)
         back = read_vectors(path, text=text)
         assert np.array_equal(back, vecs)
+
+
+def test_write_vectors_writes_the_matrix_without_copying_it(tmp_path):
+    # the file holds the header and the little-endian rows, whatever the
+    # input's layout; a C-ordered float64 matrix is written from its buffer
+    vecs = np.random.default_rng(85).standard_normal((30, 4096))
+    path = tmp_path / "v.vec"
+    want = struct.pack("<4sII", b"HQVF", 30, 4096) + vecs.astype("<f8").tobytes()
+    for layout in (vecs, np.asfortranarray(vecs), vecs.astype(">f8")):
+        write_vectors(path, layout)
+        assert path.read_bytes() == want
+    tracemalloc.start()
+    try:
+        write_vectors(path, vecs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * vecs.nbytes, peak / vecs.nbytes
 
 
 def test_quantize_dequantize_files(tmp_path):

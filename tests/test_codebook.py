@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from hadaquant.codebook import (
@@ -15,15 +17,14 @@ from hadaquant.codebook import (
     inv_cdf,
     quantize_scalar,
 )
-from hadaquant.oracle import (
-    biased_quant_direct,
-    normal_cdf_oracle,
-    normal_quantile_oracle,
-    u_average,
-    unbiased_recon,
-)
+from hadaquant.oracle import u_average
+
+from scalar_reference import biased_quant_direct, unbiased_recon, window_average
 
 SQRT3 = math.sqrt(3.0)
+# The reference Gaussian from the standard library (libm erf for the CDF,
+# Wichura's AS241 for the quantile), independent of scipy.special.
+REFERENCE = NormalDist(0.0, SQRT3)
 
 
 # --- cdf / inv_cdf --------------------------------------------------------
@@ -33,11 +34,17 @@ def test_cdf_at_zero():
     assert cdf(0.0) == 0.5
 
 
-def test_cdf_matches_series_oracle():
+def test_cdf_matches_normal_dist():
     # cdf(t) must equal the standard normal CDF at t/sqrt(3)
-    assert cdf(SQRT3) == pytest.approx(normal_cdf_oracle(1.0), abs=1e-14)
+    assert cdf(SQRT3) == pytest.approx(NormalDist().cdf(1.0), abs=1e-14)
     for t in np.linspace(-8.0, 8.0, 33):
-        assert cdf(t) == pytest.approx(normal_cdf_oracle(t / SQRT3), abs=1e-14)
+        assert cdf(t) == pytest.approx(REFERENCE.cdf(t), abs=1e-14)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t=st.floats(-70.0, 70.0))
+def test_cdf_matches_normal_dist_everywhere(t):
+    assert abs(cdf(t) - REFERENCE.cdf(t)) <= 1e-15
 
 
 def test_cdf_symmetry():
@@ -47,9 +54,15 @@ def test_cdf_symmetry():
 
 def test_inv_cdf_midpoint_and_oracle():
     assert inv_cdf(0.5) == 0.0
-    assert inv_cdf(normal_cdf_oracle(1.0)) == pytest.approx(SQRT3, abs=1e-12)
+    assert inv_cdf(NormalDist().cdf(1.0)) == pytest.approx(SQRT3, abs=1e-12)
     for p in (0.01, 0.1, 0.25, 0.75, 0.9, 0.999):
-        assert inv_cdf(p) == pytest.approx(SQRT3 * normal_quantile_oracle(p), abs=1e-10)
+        assert inv_cdf(p) == pytest.approx(REFERENCE.inv_cdf(p), abs=1e-10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.floats(1e-300, 1.0 - 2.0**-53))
+def test_inv_cdf_matches_normal_dist_into_both_tails(p):
+    assert math.isclose(inv_cdf(p), REFERENCE.inv_cdf(p), rel_tol=1e-13, abs_tol=0.0)
 
 
 def test_inv_cdf_antisymmetry():
@@ -81,26 +94,6 @@ def test_cdf_rejects_nan():
 # --- the unbiased reconstruction map ----------------------------------------
 
 
-def _recon_map_window_average(r, num_levels, nodes=64):
-    # (num_levels-1) * integral of the map over [r - w/2, r + w/2], split at
-    # the map's cell boundaries (w = 1/(num_levels-1))
-    spacing = 1.0 / (num_levels - 1)
-    lo, hi = r - spacing / 2, r + spacing / 2
-    cuts = [lo, hi]
-    k = math.floor((lo - (1 + spacing) / 2) / spacing)
-    for j in (k, k + 1, k + 2):
-        s = (1 + spacing) / 2 + j * spacing
-        if lo < s < hi:
-            cuts.append(s)
-    cuts.sort()
-    x, w = leggauss(nodes)
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        xs = (x + 1.0) / 2.0 * (b - a) + a
-        total += float(np.sum(w * (b - a) / 2.0 * [unbiased_recon(s, num_levels) for s in xs]))
-    return total / spacing
-
-
 def test_recon_map_equals_inv_cdf_on_central_cell():
     assert unbiased_recon(0.5, 16) == 0.0
     spacing = 1.0 / 15
@@ -110,7 +103,7 @@ def test_recon_map_equals_inv_cdf_on_central_cell():
 
 def test_recon_map_window_average_identity():
     for r in (0.1, 0.3, 0.5, 0.77, 0.9):
-        avg = _recon_map_window_average(r, 16)
+        avg = window_average(r, 16)
         assert avg == pytest.approx(inv_cdf(r), abs=1e-7)
 
 
@@ -153,7 +146,7 @@ def test_recon_map_domain():
 
 def test_biased_two_level_tables():
     assert np.array_equal(_biased_grid_points(np.arange(3), 2, 0.0), [0.0, 0.5, 1.0])
-    want = SQRT3 * normal_quantile_oracle(0.75)
+    want = REFERENCE.inv_cdf(0.75)
     assert build_codebook(BIASED, 2, 0.0) == pytest.approx([-want, want], abs=1e-9)
 
 

@@ -39,15 +39,33 @@ def test_extreme_norms_round_trip(scale):
 
 def test_only_overflowing_norms_are_rejected():
     cfg = QuantConfig(dim=3, bits=4, mode=BIASED)
-    # the norm itself overflows; then a finite norm whose decode would
-    for x in (np.full(3, 1.5e308), np.array([1.7e308, 0.0, 0.0])):
-        for encode in (vector_quant, quantize_two_stage, encode_vector):
-            with pytest.raises(ValueError, match="float64 range"):
-                encode(x, cfg, 0, 1)
+    # the norm itself overflows
+    for encode in (vector_quant, quantize_two_stage, encode_vector):
+        with pytest.raises(ValueError, match="float64 range"):
+            encode(np.full(3, 1.5e308), cfg, 0, 1)
+    # a finite norm whose base decode would; the two-stage codec judges its
+    # own decode (next test)
+    with pytest.raises(ValueError, match="float64 range"):
+        vector_quant(np.array([1.7e308, 0.0, 0.0]), cfg, 0, 1)
     x = np.full(3, 1e307)
     code = vector_quant(x, cfg, 0, 1)
     for decoded in (vector_dequant(code, cfg), decode_payload(encode_vector(x, cfg, 0, 1))):
         assert np.all(np.isfinite(decoded)) and decoded.min() > 0.0
+
+
+@pytest.mark.parametrize("x, cfg", [
+    (np.array([1.7e308, 0.0, 0.0]), QuantConfig(dim=3, bits=4, mode=BIASED)),
+    (np.array([1.5e308, -0.5e308, 0, 0, 0, 0, 0, 0]), QuantConfig(dim=8, bits=2)),
+], ids=["dim3-biased", "dim8-unbiased"])
+def test_two_stage_encodes_what_only_the_base_decode_overflows(x, cfg):
+    # the base decode scales the unprojected base by the norm and overflows;
+    # the two-stage decode never does, so the two-stage codec must not
+    # inherit the base stage's rejection
+    with pytest.raises(ValueError, match="float64 range"):
+        vector_quant(x, cfg, 0, 1)
+    decoded = dequantize_two_stage(quantize_two_stage(x, cfg, 0, 1))
+    assert np.all(np.isfinite(decoded))
+    assert np.array_equal(decode_payload(encode_vector(x, cfg, 0, 1)), decoded)
 
 
 _MAGNITUDE = st.floats(min_value=1e-300, max_value=1e300)
