@@ -2,7 +2,8 @@
 
 An unbiased vector codec with distortion (pi*sqrt(3)/2 + o(1)) / 4**bits per
 unit vector, a two-stage residual codec for inner-product estimation, and a
-bit-exact wire format whose payload never exceeds dim*bits + 3.73*dim bits.
+bit-exact wire format: a 288-bit header, then a body that never exceeds
+d*bits + floor(3.7213475*d) bits, where d is dim padded to a power of two.
 """
 
 from .codebook import (

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import bitstream, oracle
 from .codebook import UNBIASED, build_codebook, cdf, quantize_scalar
-from .transform import stream_rng
+from .transform import check_int, stream_rng
 from .twostage import estimate_inner_product, quantize_two_stage
 from .vquant import QuantConfig, vector_dequant, vector_quant
 
@@ -68,9 +68,7 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _trial_range(trials: int) -> range:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return range(trials)
+    return range(check_int("trials", trials, 1, math.inf))
 
 
 def _chunked_sum(trials: int, term):

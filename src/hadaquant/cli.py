@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, bitstream
-from .codebook import BIASED, UNBIASED
+from .codebook import MODES, UNBIASED
 from .twostage import dequantize_two_stage, quantize_two_stage
 from .vquant import QuantConfig
 
@@ -109,12 +109,11 @@ def cmd_dequantize(args) -> int:
         raise ValueError(f"{in_dir}: no .hq payloads")
     decoded = []
     for path in paths:
-        payload = path.read_bytes()
-        row = decode_payload(payload)  # validates the header read next
-        decoded.append((bitstream.HEADER.unpack_from(payload)[7], row))
-    # Rows follow each header's vec_counter (field 7), not the file names,
-    # which sort "vec_100000" before "vec_10001"; the stable sort keeps
-    # file-name order among equal counters.
+        code = bitstream.decode(path.read_bytes())
+        decoded.append((code.base.vec_counter, dequantize_two_stage(code)))
+    # Rows follow each payload's vec_counter, not the file names, which sort
+    # "vec_100000" before "vec_10001"; the stable sort keeps file-name order
+    # among equal counters.
     decoded.sort(key=lambda entry: entry[0])
     rows = [row for _, row in decoded]
     widths = {r.shape[0] for r in rows}
@@ -158,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--input", required=True)
     q.add_argument("--output", required=True, help="output directory for .hq payloads")
     q.add_argument("--bits", type=int, required=True)
-    q.add_argument("--mode", choices=[BIASED, UNBIASED], default=UNBIASED)
+    q.add_argument("--mode", choices=MODES, default=UNBIASED)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--text", action="store_true", help="input is one vector per line")
     q.set_defaults(fn=cmd_quantize)
@@ -175,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--bits", type=int)
     b.add_argument("--trials", type=int)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--mode", choices=[BIASED, UNBIASED])
+    b.add_argument("--mode", choices=MODES)
     b.add_argument("--csv", help="write rows to this CSV path")
     b.set_defaults(fn=cmd_bench, usage_error=b.error)
     return parser

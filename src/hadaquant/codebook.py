@@ -31,6 +31,8 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .transform import check_int, is_power_of_two
+
 BIASED = "biased"
 UNBIASED = "unbiased"
 MODES = (BIASED, UNBIASED)
@@ -199,7 +201,7 @@ def _saturate(row: np.ndarray) -> None:
 def _check_args(mode: str, num_levels: int, dither) -> np.ndarray:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if num_levels < 2 or not math.log2(num_levels).is_integer():
+    if not is_power_of_two(check_int("num_levels", num_levels, 2, math.inf)):
         raise ValueError(f"num_levels must be a power of two >= 2, got {num_levels}")
     dither = np.asarray(dither, dtype=np.float64)
     if not ((dither >= 0.0) & (dither < 1.0)).all():

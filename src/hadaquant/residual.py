@@ -17,9 +17,13 @@ from .transform import (
     STREAM_SIGN_BITS,
     apply_hd,
     apply_hd_inverse,
+    check_int,
+    check_token,
+    check_vector,
     sample_signs,
     sample_uniforms,
 )
+from .vquant import QuantConfig
 
 MAX_SCALE_IDX = 255  # one header byte; unreachable for any desk-scale (d, bits)
 MAX_LEVEL = 64
@@ -60,9 +64,7 @@ def scalar_dequant(scale_idx: int, padded_dim: int, num_levels: int) -> float:
 
     For s >= the floor the round trip satisfies s <= scalar_dequant(...) < 2 s.
     """
-    if scale_idx < 0:
-        raise ValueError(f"scale index must be >= 0, got {scale_idx}")
-    if scale_idx == 0:
+    if check_int("scale index", scale_idx, 0, MAX_SCALE_IDX) == 0:
         return 0.0
     return math.ldexp(min_scale(padded_dim, num_levels), scale_idx - 1)
 
@@ -80,18 +82,17 @@ class ResidualCode:
     signs: np.ndarray  # (d,) int8 in {-1,+1}; zero placeholders when scale_idx == 0
 
 
-def check_code(code: ResidualCode, padded_dim: int) -> None:
-    """Raise ValueError unless residual_quant can make code at padded_dim.
+def check_code(code: ResidualCode, config: QuantConfig) -> None:
+    """Raise ValueError unless residual_quant can make code under config.
 
     Such a code has a scale index in [0, MAX_SCALE_IDX] and levels and signs
-    of shape (padded_dim,); when the scale index is nonzero, the levels are
-    integers in [0, MAX_LEVEL] and the signs are -1 or +1.
+    of shape (config.padded_dim,); when the scale index is nonzero, the
+    levels are integers in [0, MAX_LEVEL] and the signs are -1 or +1.
     """
-    if not 0 <= code.scale_idx <= MAX_SCALE_IDX:
-        raise ValueError(f"scale index {code.scale_idx} outside [0, {MAX_SCALE_IDX}]")
-    levels, signs = np.asarray(code.levels), np.asarray(code.signs)
-    if levels.shape != (padded_dim,) or signs.shape != (padded_dim,):
-        raise ValueError(f"levels {levels.shape} and signs {signs.shape} need length {padded_dim}")
+    check_int("scale index", code.scale_idx, 0, MAX_SCALE_IDX)
+    levels, signs, d = np.asarray(code.levels), np.asarray(code.signs), config.padded_dim
+    if levels.shape != (d,) or signs.shape != (d,):
+        raise ValueError(f"levels {levels.shape} and signs {signs.shape} need length {d}")
     if code.scale_idx > 0:
         if levels.dtype.kind not in "iu" or levels.min() < 0 or levels.max() > MAX_LEVEL:
             raise ValueError(f"levels must be integers in [0, {MAX_LEVEL}]")
@@ -112,23 +113,22 @@ def _doubling_levels(v_abs: np.ndarray, sigma: float) -> np.ndarray:
     return lev
 
 
-def residual_quant(r, num_levels: int, seed: int, vec_counter: int) -> ResidualCode:
-    """Encode a residual with ||r|| <= 2 (power-of-two length).
+def residual_quant(r, config: QuantConfig, seed: int, vec_counter: int) -> ResidualCode:
+    """Encode a real, finite residual of shape (config.padded_dim,) with ||r|| <= 2.
 
     Sign bits come from a dedicated stream keyed by (seed, vec_counter) so
     encoding is reproducible yet independent of the sign diagonal.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("residual has NaN or infinite coordinates")
-    d = r.shape[0]
+    seed, vec_counter = check_token("seed", seed), check_token("vec_counter", vec_counter)
+    d = config.padded_dim
+    r = check_vector("residual", r, d)
     norm = float(np.linalg.norm(r))
     if norm > 2.0 * (1.0 + 1e-9):
         raise ValueError(f"residual norm {norm} exceeds the unit-ball bound of 2")
-    scale_idx = scalar_quant(norm / math.sqrt(d), d, num_levels)
+    scale_idx = scalar_quant(norm / math.sqrt(d), d, config.num_levels)
     if scale_idx == 0:
         return ResidualCode(0, np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8))
-    sigma = scalar_dequant(scale_idx, d, num_levels)
+    sigma = scalar_dequant(scale_idx, d, config.num_levels)
     diag = derive_residual_signs(seed, vec_counter, d)
     v = apply_hd(r, diag)
     levels = _doubling_levels(np.abs(v), sigma)
@@ -140,17 +140,17 @@ def residual_quant(r, num_levels: int, seed: int, vec_counter: int) -> ResidualC
 
 
 def residual_dequant(
-    code: ResidualCode, num_levels: int, seed: int, vec_counter: int
+    code: ResidualCode, config: QuantConfig, seed: int, vec_counter: int
 ) -> np.ndarray:
     """Decode a residual code; conditionally unbiased given (diagonal, r).
 
-    (seed, vec_counter) are the tokens the code was encoded under; the code's
-    length is its padded dimension, and check_code judges it first.
+    (seed, vec_counter) are the tokens the code was encoded under, checked
+    as residual_quant checks them; check_code judges the code first.
     """
-    d = np.size(code.levels)
-    check_code(code, d)
+    seed, vec_counter = check_token("seed", seed), check_token("vec_counter", vec_counter)
+    check_code(code, config)
     if code.scale_idx == 0:
-        return np.zeros(d)
-    sigma = scalar_dequant(code.scale_idx, d, num_levels)
+        return np.zeros(config.padded_dim)
+    sigma = scalar_dequant(code.scale_idx, config.padded_dim, config.num_levels)
     q = np.ldexp(sigma, np.asarray(code.levels, dtype=np.int64)) * code.signs
-    return apply_hd_inverse(q, derive_residual_signs(seed, vec_counter, d))
+    return apply_hd_inverse(q, derive_residual_signs(seed, vec_counter, config.padded_dim))

@@ -18,6 +18,8 @@ included, while every stage is two calls over d/2 entries rather than d/2h
 short loops of length h.
 """
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -43,10 +45,32 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def check_token(name: str, token: int) -> None:
-    """Raise ValueError unless token lies in [0, 2**64), the range stream keys cover."""
-    if not 0 <= token < 1 << 64:
-        raise ValueError(f"{name} {token} outside [0, 2**64)")
+def check_int(name: str, value, lo, hi) -> int:
+    """value as an int in [lo, hi]; ValueError for a non-integer (1.5, 8.0) or one outside."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} {value} outside [{lo}, {hi}]")
+    return value
+
+
+def check_token(name: str, token) -> int:
+    """token as an int; ValueError unless it is an integer in [0, 2**64), as stream keys need."""
+    return check_int(name, token, 0, _MASK64)
+
+
+def check_vector(name: str, v, length: int) -> np.ndarray:
+    """v as a float64 array; ValueError unless it is real, finite and of shape (length,)."""
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} is complex, not real")
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (length,):
+        raise ValueError(f"expected {name} of length {length}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has NaN or infinite coordinates")
+    return v
 
 
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
@@ -69,15 +93,11 @@ def stream_rng(seed: int, stream_id) -> np.random.Generator:
     ``stream_id`` may be an integer or a tuple of integers. Distinct ids
     under the same seed give statistically independent Philox streams;
     the same (seed, stream_id) always reproduces the same stream. The seed
-    and every token of the id must lie in [0, 2**64), else ValueError.
+    and every token of the id must be integers in [0, 2**64), else ValueError.
     """
-    seed = int(seed)
-    check_token("seed", seed)
-    key_lo = _mix64(seed)
+    key_lo = _mix64(check_token("seed", seed))
     for token in stream_id if isinstance(stream_id, tuple) else (stream_id,):
-        token = int(token)
-        check_token("stream token", token)
-        key_lo = _mix64(key_lo ^ _mix64(token))
+        key_lo = _mix64(key_lo ^ _mix64(check_token("stream token", token)))
     key_hi = _mix64(key_lo ^ 0x9E3779B97F4A7C15)
     return np.random.Generator(np.random.Philox(_PhiloxKey(_philox_key(key_lo, key_hi))))
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import residual, vquant
 from .residual import ResidualCode, residual_dequant, residual_quant
+from .transform import check_vector
 from .vquant import (
     QuantConfig,
     VectorCode,
@@ -35,7 +36,7 @@ class TwoStageCode:
 def check_code(code: TwoStageCode) -> None:
     """Raise ValueError unless both stages are well formed under code.config."""
     vquant.check_code(code.base, code.config)
-    residual.check_code(code.residual, code.config.padded_dim)
+    residual.check_code(code.residual, code.config)
 
 
 def project_unit_ball(v) -> np.ndarray:
@@ -49,8 +50,8 @@ def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> T
 
     Both stages key their randomness off (seed, vec_counter), which the base
     code carries for the residual stage too. The base stage's sign diagonal
-    and dither are derived once and reused to decode it here. Raises
-    ValueError for tokens outside [0, 2**64) or an overflowing decode.
+    and dither are derived once and reused to decode it here. Raises ValueError
+    for a complex or non-finite x, tokens outside [0, 2**64) or an overflowing decode.
     """
     base, draws = _quantize(x, config, seed, vec_counter)
     target = np.zeros(config.padded_dim)
@@ -59,7 +60,7 @@ def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> T
         # The decoder recomputes the identical projected point, so the residual
         # is defined against exactly what the decoder will see.
         target -= project_unit_ball(_decode_padded_unit(base, config, draws))
-    code = TwoStageCode(base, residual_quant(target, config.num_levels, seed, vec_counter), config)
+    code = TwoStageCode(base, residual_quant(target, config, seed, vec_counter), config)
     _reject_overflowing_decode(base.norm, lambda: dequantize_two_stage(code))
     return code
 
@@ -67,16 +68,12 @@ def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> T
 def dequantize_two_stage(code: TwoStageCode) -> np.ndarray:
     """Decode: stored norm times (projected base reconstruction plus residual).
 
-    Raises ValueError unless check_code passes. Each code is checked once:
-    residual_dequant checks the residual against its own length, which must
-    be the padded dimension.
+    Raises ValueError unless check_code passes. Each stage is checked once,
+    the residual inside residual_dequant.
     """
     config, base = code.config, code.base
     vquant.check_code(base, config)
-    length = np.size(code.residual.levels)
-    if length != config.padded_dim:
-        raise ValueError(f"residual length {length} differs from padded dim {config.padded_dim}")
-    rhat = residual_dequant(code.residual, config.num_levels, base.seed, base.vec_counter)
+    rhat = residual_dequant(code.residual, config, base.seed, base.vec_counter)
     if base.norm == 0.0:
         return np.zeros(config.dim)
     approx = project_unit_ball(_decode_padded_unit(base, config))
@@ -84,10 +81,6 @@ def dequantize_two_stage(code: TwoStageCode) -> np.ndarray:
 
 
 def estimate_inner_product(code: TwoStageCode, y) -> float:
-    """Inner product of y with the decoded vector."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != code.config.dim:
-        raise ValueError(f"expected a vector of length {code.config.dim}, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("query vector has NaN or infinite coordinates")
+    """Inner product of a real, finite y of length config.dim with the decoded vector."""
+    y = check_vector("query vector", y, code.config.dim)
     return float(y @ dequantize_two_stage(code))

@@ -20,7 +20,9 @@ from .transform import (
     STREAM_DITHER,
     apply_hd,
     apply_hd_inverse,
+    check_int,
     check_token,
+    check_vector,
     sample_signs,
     sample_uniforms,
 )
@@ -28,17 +30,15 @@ from .transform import (
 
 @dataclass(frozen=True)
 class QuantConfig:
-    """Dimensions, bit width and mode shared by encoder and decoder."""
+    """Dimensions, bit width and mode shared by encoder and decoder; checks that they are valid."""
 
     dim: int
     bits: int
     mode: str = UNBIASED
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not 1 <= self.bits <= 16:
-            raise ValueError(f"bits must lie in [1, 16], got {self.bits}")
+        object.__setattr__(self, "dim", check_int("dim", self.dim, 1, math.inf))
+        object.__setattr__(self, "bits", check_int("bits", self.bits, 1, 16))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -62,18 +62,14 @@ class VectorCode:
     vec_counter: int
 
 
-def _check_tokens(seed, vec_counter) -> None:
-    check_token("seed", seed)
-    check_token("vec_counter", vec_counter)
-
-
 def check_code(code: VectorCode, config: QuantConfig) -> None:
     """Raise ValueError unless vector_quant can make code under config.
 
     Such a code has padded_dim integer indices in [0, num_levels), a finite
-    norm >= 0, and seed and vec_counter in [0, 2**64).
+    norm >= 0, and seed and vec_counter integers in [0, 2**64).
     """
-    _check_tokens(code.seed, code.vec_counter)
+    check_token("seed", code.seed)
+    check_token("vec_counter", code.vec_counter)
     indices = np.asarray(code.indices)
     if indices.shape != (config.padded_dim,) or indices.dtype.kind not in "iu":
         raise ValueError(f"need {config.padded_dim} integer indices, got {indices.dtype}")
@@ -129,13 +125,8 @@ def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
     # without re-deriving them; the draws are None for the zero vector, which
     # derives nothing. The two-stage decode never scales the base alone by
     # the norm, so that codec checks its own decode instead.
-    seed, vec_counter = int(seed), int(vec_counter)
-    _check_tokens(seed, vec_counter)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != config.dim:
-        raise ValueError(f"expected a vector of length {config.dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input vector has NaN or infinite coordinates")
+    seed, vec_counter = check_token("seed", seed), check_token("vec_counter", vec_counter)
+    x = check_vector("input vector", x, config.dim)
     norm = scaled_norm(x)
     if norm == 0.0:
         indices = np.zeros(config.padded_dim, dtype=np.uint16)
@@ -152,8 +143,8 @@ def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
 def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorCode:
     """Encode x: pad, transform with a fresh sign diagonal, bucket every coordinate.
 
-    Any finite x is accepted, except one whose decode would overflow float64.
-    seed and vec_counter must lie in [0, 2**64), the range the streams key on.
+    Any real, finite x is accepted, except one whose decode would overflow float64.
+    seed and vec_counter must be integers in [0, 2**64), the range the streams key on.
     """
     code = _quantize(x, config, seed, vec_counter)[0]
     _reject_overflowing_decode(code.norm, lambda: vector_dequant(code, config))

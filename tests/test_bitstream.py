@@ -209,6 +209,9 @@ def test_encode_rejects_field_overflow():
         encode(_code(norm=math.inf))
     with pytest.raises(FieldOverflowError):
         encode(_code(seed=1 << 64))
+    # a float scale index raised a bare struct.error
+    with pytest.raises(FieldOverflowError):
+        encode(_code(scale_idx=1.0))
 
 
 def test_every_corruption_is_a_typed_error():

@@ -154,6 +154,12 @@ def test_unbiased_suite_rejects_degenerate_args_before_any_trial(monkeypatch, bi
     assert encodes == []
 
 
+def test_suites_reject_a_float_trial_count():
+    # range(2.5) raised TypeError
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        bench.rate_suite(16, 4, 2.5, 0)
+
+
 def test_dequantize_rejects_missing_payloads(tmp_path):
     (tmp_path / "d").mkdir()
     assert main(["dequantize", "--input", str(tmp_path / "d"),

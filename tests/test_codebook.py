@@ -331,6 +331,11 @@ def test_build_rejects_bad_args():
         build_codebook(UNBIASED, 4, 1.0)
     with pytest.raises(ValueError):
         build_codebook("other", 4, 0.0)
+    # a log2 test passed both: 2**60 + 1 rounds to 2**60, and 8.0 then
+    # failed inside the build with TypeError
+    for size in (2**60 + 1, 8.0):
+        with pytest.raises(ValueError, match="num_levels"):
+            build_codebook(UNBIASED, size, 0.3)
 
 
 @pytest.mark.parametrize("mode", [BIASED, UNBIASED])
@@ -372,7 +377,8 @@ def test_quantize_rejects_nan():
 def test_quantize_rejects_bad_args():
     # the same arguments build_codebook rejects
     for mode, size, dither in ((BIASED, 1, 0.0), (BIASED, 3, 0.0), (UNBIASED, 4, 1.0),
-                               (UNBIASED, 4, -0.1), ("other", 4, 0.0)):
+                               (UNBIASED, 4, -0.1), ("other", 4, 0.0),
+                               (UNBIASED, 2**60 + 1, 0.3), (UNBIASED, 8.0, 0.3)):
         with pytest.raises(ValueError):
             quantize_scalar(0.0, mode, size, dither)
 

@@ -102,7 +102,7 @@ def test_dither_and_sign_bits_are_raw_philox_words(seed):
     for counter in range(30):
         dither = _raw_uniforms(seed, (counter, STREAM_DITHER), 1)[0]
         assert derive_dither(seed, counter) == dither
-        code = residual_quant(r, num_levels, seed, counter)
+        code = residual_quant(r, QuantConfig(d, 3), seed, counter)
         assert code.scale_idx > 0
         v = apply_hd(r, derive_residual_signs(seed, counter, d))
         radius = np.ldexp(scalar_dequant(code.scale_idx, d, num_levels), code.levels)

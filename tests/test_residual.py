@@ -18,6 +18,7 @@ from hadaquant.residual import (
     scalar_quant,
 )
 from hadaquant.transform import apply_hd, apply_hd_inverse, stream_rng
+from hadaquant.vquant import QuantConfig
 
 
 def test_scale_quant_examples():
@@ -52,10 +53,10 @@ def test_scale_roundtrip_property():
 
 
 def test_zero_residual_trivial_code():
-    code = residual_quant(np.zeros(8), 16, seed=1, vec_counter=0)
+    code = residual_quant(np.zeros(8), QuantConfig(8, 4), seed=1, vec_counter=0)
     assert code.scale_idx == 0
     assert not code.levels.any() and not code.signs.any()
-    assert np.array_equal(residual_dequant(code, 16, 1, 0), np.zeros(8))
+    assert np.array_equal(residual_dequant(code, QuantConfig(8, 4), 1, 0), np.zeros(8))
 
 
 def _residual_for_transformed(v, seed, vec_counter):
@@ -74,7 +75,7 @@ def test_levels_and_radii_worked_example(monkeypatch):
     # sigma = 0.5 at d=4, num_levels=4; transformed magnitudes (0.7, .5, .1, 0)
     v = np.array([0.7, 0.5, 0.1, 0.0])
     r = _residual_for_transformed(v, seed=9, vec_counter=0)
-    code = residual_quant(r, 4, seed=9, vec_counter=0)
+    code = residual_quant(r, QuantConfig(4, 2), seed=9, vec_counter=0)
     assert code.scale_idx == 4
     assert scalar_dequant(code.scale_idx, 4, 4) == 0.5
     assert list(code.levels) == [1, 0, 0, 0]
@@ -82,9 +83,10 @@ def test_levels_and_radii_worked_example(monkeypatch):
     with monkeypatch.context() as patch:
         for draw in range(20):
             _fresh_sign_bits(patch, stream_rng(1234, draw).random)
-            assert residual_quant(r, 4, 9, 0).signs[1] == 1
+            assert residual_quant(r, QuantConfig(4, 2), 9, 0).signs[1] == 1
     # decoded magnitudes are radius * sign
-    decoded_q = np.abs(apply_hd(residual_dequant(code, 4, 9, 0), derive_residual_signs(9, 0, 4)))
+    decoded_q = np.abs(apply_hd(residual_dequant(code, QuantConfig(4, 2), 9, 0),
+                                derive_residual_signs(9, 0, 4)))
     assert decoded_q == pytest.approx([1.0, 0.5, 0.5, 0.5], abs=1e-12)
 
 
@@ -93,7 +95,7 @@ def test_sign_bias_matches_probability(monkeypatch):
     v = np.array([0.7, 0.5, 0.1, 0.0])
     r = _residual_for_transformed(v, seed=9, vec_counter=0)
     _fresh_sign_bits(monkeypatch, stream_rng(555, 0).random)
-    hits = sum(residual_quant(r, 4, 9, 0).signs[0] == 1 for _ in range(2000))
+    hits = sum(residual_quant(r, QuantConfig(4, 2), 9, 0).signs[0] == 1 for _ in range(2000))
     assert abs(hits / 2000 - 0.85) <= 0.03
 
 
@@ -107,7 +109,7 @@ def test_conditional_unbiasedness_monte_carlo():
     rng_input = np.random.default_rng(52)
     r = rng_input.standard_normal(d)
     r *= 0.05 / np.linalg.norm(r)
-    code = residual_quant(r, 16, seed=3, vec_counter=0)
+    code = residual_quant(r, QuantConfig(8, 4), seed=3, vec_counter=0)
     diag = derive_residual_signs(3, 0, d)
     sigma = scalar_dequant(code.scale_idx, d, 16)
     radius = np.ldexp(sigma, code.levels)
@@ -119,7 +121,8 @@ def test_conditional_unbiasedness_monte_carlo():
     decoded = (signs * radius) @ dense_hadamard(d) * diag
     for row in range(5):
         prod = residual_dequant(
-            ResidualCode(code.scale_idx, code.levels, signs[row].astype(np.int8)), 16, 3, 0
+            ResidualCode(code.scale_idx, code.levels, signs[row].astype(np.int8)),
+            QuantConfig(8, 4), 3, 0,
         )
         assert np.abs(prod - decoded[row]).max() <= 1e-12
     mean = decoded.mean(axis=0)
@@ -132,7 +135,7 @@ def test_exact_sign_enumeration_recovers_residual():
     d = 4
     v = np.array([0.31, -0.22, 0.119, -0.04])
     r = _residual_for_transformed(v, seed=21, vec_counter=5)
-    code = residual_quant(r, 8, seed=21, vec_counter=5)
+    code = residual_quant(r, QuantConfig(4, 3), seed=21, vec_counter=5)
     sigma = scalar_dequant(code.scale_idx, d, 8)
     radius = np.ldexp(sigma, code.levels)
     v_check = apply_hd(r, derive_residual_signs(21, 5, d))
@@ -142,7 +145,7 @@ def test_exact_sign_enumeration_recovers_residual():
         signs = np.array(pattern, dtype=np.int8)
         prob = float(np.prod(np.where(signs == 1, p_plus, 1.0 - p_plus)))
         lam = ResidualCode(code.scale_idx, code.levels, signs)
-        expect += prob * residual_dequant(lam, 8, 21, 5)
+        expect += prob * residual_dequant(lam, QuantConfig(4, 3), 21, 5)
     assert np.abs(expect - r).max() <= 1e-12
 
 
@@ -179,7 +182,7 @@ def test_level_sum_rate_bound():
         for _ in range(500):
             r = rng.standard_normal(d)
             r *= rng.random() * 2.0 / np.linalg.norm(r)
-            code = residual_quant(r, 16, seed=8, vec_counter=0)
+            code = residual_quant(r, QuantConfig(d, 4), seed=8, vec_counter=0)
             if code.scale_idx > 0:
                 assert float(np.sum(code.levels + 1)) <= LEVEL_SUM_COEFF * d
 
@@ -191,7 +194,7 @@ def test_level_tail_bound():
     for trial in range(25):
         r = rng.standard_normal(d)
         r *= 1.5 / np.linalg.norm(r)
-        levels.append(residual_quant(r, 16, seed=13, vec_counter=trial).levels)
+        levels.append(residual_quant(r, QuantConfig(d, 4), seed=13, vec_counter=trial).levels)
     levels = np.concatenate(levels)
     for k in range(1, 7):
         bound = 2.0 * math.exp(-(2.0 ** (2 * (k - 1))) / 2.0)
@@ -208,40 +211,64 @@ def test_query_direction_error_bound():
     y /= np.linalg.norm(y)
     errs = []
     for trial in range(400):
-        code = residual_quant(r, size, seed=300, vec_counter=trial)
-        errs.append(float(y @ (residual_dequant(code, size, 300, trial) - r)) ** 2)
+        code = residual_quant(r, QuantConfig(d, 4), seed=300, vec_counter=trial)
+        errs.append(float(y @ (residual_dequant(code, QuantConfig(d, 4), 300, trial) - r)) ** 2)
     bound = 13.0 * (0.1**2 + size**-2.0) / d
     assert np.mean(errs) <= bound
 
 
 def test_rejects_norm_above_two():
     r = np.ones(4)  # norm 2 is fine, 2.2 is not
-    residual_quant(r, 4, 0, 0)
+    residual_quant(r, QuantConfig(4, 2), 0, 0)
     with pytest.raises(ValueError):
-        residual_quant(1.1 * r, 4, 0, 0)
+        residual_quant(1.1 * r, QuantConfig(4, 2), 0, 0)
 
 
 def test_rejects_malformed_code():
-    code = residual_quant(np.full(4, 0.3), 4, 0, 0)
+    code = residual_quant(np.full(4, 0.3), QuantConfig(4, 2), 0, 0)
     bad = ResidualCode(code.scale_idx, code.levels[:2], code.signs)
     with pytest.raises(ValueError):
-        residual_dequant(bad, 4, 0, 0)
+        residual_dequant(bad, QuantConfig(4, 2), 0, 0)
     zeroed = ResidualCode(code.scale_idx, code.levels, np.zeros(4, dtype=np.int8))
     with pytest.raises(ValueError):
-        residual_dequant(zeroed, 4, 0, 0)
+        residual_dequant(zeroed, QuantConfig(4, 2), 0, 0)
     # levels above the cap decoded to inf, negative ones silently
     for level in (MAX_LEVEL + 1, -1):
         bad = ResidualCode(code.scale_idx, np.full(4, level), code.signs)
         with pytest.raises(ValueError, match="levels"):
-            residual_dequant(bad, 4, 0, 0)
+            residual_dequant(bad, QuantConfig(4, 2), 0, 0)
+    # a float scale index passed the check and then raised TypeError
+    with pytest.raises(ValueError, match="scale index"):
+        residual_dequant(ResidualCode(4.0, code.levels, code.signs), QuantConfig(4, 2), 0, 0)
 
 
-@pytest.mark.parametrize("bad", [-1, 2**64])
+@pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
 def test_rejects_tokens_outside_64_bits(bad):
-    # they used to be reduced mod 2**64: seed -1 coded like seed 2**64 - 1
-    r = np.full(4, 0.3)
-    for seed, counter in ((bad, 0), (0, bad)):
-        with pytest.raises(ValueError, match="outside"):
-            residual_quant(r, 4, seed, counter)
-        with pytest.raises(ValueError, match="outside"):
-            residual_dequant(residual_quant(r, 4, 0, 0), 4, seed, counter)
+    # they used to be reduced mod 2**64: seed -1 coded like seed 2**64 - 1;
+    # 1.5 was truncated to 1, and a zero residual, which derives no stream,
+    # took any token
+    match = "integer" if isinstance(bad, float) else "outside"
+    cfg = QuantConfig(4, 2)
+    for r in (np.full(4, 0.3), np.zeros(4)):
+        for seed, counter in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match=match):
+                residual_quant(r, cfg, seed, counter)
+            with pytest.raises(ValueError, match=match):
+                residual_dequant(residual_quant(r, cfg, 0, 0), cfg, seed, counter)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3,), (2, 2), (8,)], ids=["0", "3", "2x2", "8"])
+def test_rejects_residual_of_wrong_shape(shape):
+    # only shape (padded_dim,) = (4,) is a residual under this config; an
+    # empty one divided by zero, (2, 2) made a length-2 code, and the other
+    # lengths passed when the residual was negligible
+    cfg = QuantConfig(3, 2)
+    for fill in (0.0, 0.3):
+        with pytest.raises(ValueError, match="length 4"):
+            residual_quant(np.full(shape, fill), cfg, 0, 0)
+
+
+def test_rejects_complex_residual():
+    # it was cast to its real part with only a ComplexWarning
+    with pytest.raises(ValueError, match="complex"):
+        residual_quant(np.array([0.1 + 0.5j, 0.2, 0.3, 0.4]), QuantConfig(4, 2), 0, 0)

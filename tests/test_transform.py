@@ -138,15 +138,17 @@ def test_sign_diagonal_validates_entries():
             apply(np.zeros(3), np.ones(3))
 
 
-@pytest.mark.parametrize("bad", [-1, 2**64, -(2**64)])
+@pytest.mark.parametrize("bad", [-1, 2**64, -(2**64), 1.5])
 def test_stream_tokens_outside_64_bits_rejected(bad):
-    # they used to be reduced mod 2**64, so -1 named the stream of 2**64 - 1
+    # they used to be reduced mod 2**64, so -1 named the stream of 2**64 - 1;
+    # 1.5 was truncated to 1
+    match = "integer" if isinstance(bad, float) else "outside"
     for seed, stream_id in ((bad, 0), (0, bad), (0, (1, bad)), (bad, (1, 2))):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=match):
             stream_rng(seed, stream_id)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=match):
             sample_signs(seed, stream_id, 4)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=match):
             sample_uniforms(seed, stream_id, 3)
 
 

@@ -123,10 +123,15 @@ def test_rejects_non_unit_and_bad_shapes():
         quantize_two_stage(np.zeros(7), cfg, 0, 0)
     with pytest.raises(ValueError):
         quantize_two_stage(np.array([np.nan] + [0.0] * 7), cfg, 0, 0)
+    # complex vectors were cast to their real parts with only a ComplexWarning
+    with pytest.raises(ValueError, match="complex"):
+        quantize_two_stage(np.array([1 + 5j] + [2.0] * 7), cfg, 0, 0)
     x = _unit(np.random.default_rng(69), 8)
     code = quantize_two_stage(x, cfg, 0, 0)
     with pytest.raises(ValueError):
         estimate_inner_product(code, np.zeros(7))
+    with pytest.raises(ValueError, match="complex"):
+        estimate_inner_product(code, np.array([1 + 5j] + [2.0] * 7))
     bad = TwoStageCode(
         code.base,
         ResidualCode(code.residual.scale_idx, code.residual.levels[:4],
@@ -150,14 +155,15 @@ def test_estimate_rejects_non_finite_query(bad):
 
 
 # (stage, field, corruption): codes no encoder makes; a decode of the first
-# two gave inf/NaN or silently wrong values, the last two a wrapped or
-# IndexError lookup. The stage decoders get the same cases in
-# test_vquant.py and test_residual.py.
+# two gave inf/NaN or silently wrong values, the next two a wrapped or
+# IndexError lookup, and the last a TypeError. The stage decoders get the
+# same cases in test_vquant.py and test_residual.py.
 _MALFORMED = {
     "level-above-cap": ("residual", "levels", lambda a: np.full_like(a, 2000)),
     "negative-level": ("residual", "levels", lambda a: np.full_like(a, -1)),
     "negative-index": ("base", "indices", lambda a: np.concatenate(([-1], a[1:]))),
     "float-indices": ("base", "indices", lambda a: a.astype(np.float64)),
+    "float-scale-index": ("residual", "scale_idx", float),
 }
 
 

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from hadaquant.bitstream import FieldOverflowError, encode
 from hadaquant.codebook import BIASED, UNBIASED, build_codebook, cdf, quantize_scalar
 from hadaquant.oracle import u_average
 from hadaquant.transform import apply_hd, apply_hd_inverse
-from hadaquant.twostage import quantize_two_stage
+from hadaquant.twostage import dequantize_two_stage, quantize_two_stage
 from hadaquant.vquant import (
     QuantConfig,
     VectorCode,
@@ -36,6 +37,10 @@ def test_config_padding_and_validation():
         QuantConfig(dim=4, bits=17)
     with pytest.raises(ValueError):
         QuantConfig(dim=4, bits=4, mode="nope")
+    # a float size constructed, then failed in padded_dim or num_levels
+    for dim, bits in ((2.5, 3), (4, 3.0)):
+        with pytest.raises(ValueError, match="integer"):
+            QuantConfig(dim, bits)
 
 
 def test_zero_vector_roundtrip():
@@ -194,6 +199,9 @@ def test_rejects_bad_inputs():
         vector_quant(np.array([1.0, np.inf, 0.0, 0.0]), cfg, 0, 0)
     with pytest.raises(ValueError):
         vector_quant(np.zeros(3), cfg, 0, 0)
+    # it was cast to its real part with only a ComplexWarning
+    with pytest.raises(ValueError, match="complex"):
+        vector_quant(np.array([1 + 5j, 2, 3, 4]), cfg, 0, 0)
 
 
 def test_decode_rejects_out_of_range_index():
@@ -211,15 +219,26 @@ def test_decode_rejects_out_of_range_index():
             vector_dequant(VectorCode(indices, code.norm, 0, 0), cfg)
 
 
-@pytest.mark.parametrize("seed, counter", [(2**64, 0), (-1, 0), (0, 2**64), (0, -1)])
+@pytest.mark.parametrize(
+    "seed, counter", [(2**64, 0), (-1, 0), (0, 2**64), (0, -1), (1.5, 0), (0, 1.5)]
+)
 def test_tokens_outside_u64_are_rejected(seed, counter):
-    # the streams key on the tokens mod 2**64, so 2**64 encoded as seed 0 did
+    # the streams key on the tokens mod 2**64, so 2**64 encoded as seed 0 did;
+    # 1.5 was truncated to 1, and a code carrying it decoded under seed 1
+    match = "integer" if 1.5 in (seed, counter) else "outside"
     cfg = QuantConfig(dim=4, bits=3)
     for x in (np.array([3.0, -2.0, 1.0, 0.5]), np.zeros(4)):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=match):
             vector_quant(x, cfg, seed, counter)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=match):
             quantize_two_stage(x, cfg, seed, counter)
     code = dataclasses.replace(vector_quant(np.ones(4), cfg, 0, 0), seed=seed, vec_counter=counter)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=match):
         vector_dequant(code, cfg)
+    two = quantize_two_stage(np.array([3.0, -2.0, 1.0, 0.5]), cfg, 0, 1)
+    bad = dataclasses.replace(two, base=dataclasses.replace(two.base, seed=seed,
+                                                            vec_counter=counter))
+    with pytest.raises(ValueError, match=match):
+        dequantize_two_stage(bad)
+    with pytest.raises(FieldOverflowError, match=match):  # a bare struct.error for 1.5
+        encode(bad)
