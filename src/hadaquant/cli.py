@@ -90,13 +90,12 @@ def decode_payload(data: bytes) -> np.ndarray:
 
 def cmd_quantize(args) -> int:
     vectors = read_vectors(args.input, text=args.text)
-    if not np.all(np.isfinite(vectors)):
-        raise ValueError(f"{args.input}: non-finite values")
     config = QuantConfig(dim=vectors.shape[1], bits=args.bits, mode=args.mode)
+    # Every row is encoded, and so checked, before the first file is written.
+    payloads = [encode_vector(x, config, args.seed, c) for c, x in enumerate(vectors)]
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for counter, x in enumerate(vectors):
-        payload = encode_vector(x, config, args.seed, counter)
+    for counter, payload in enumerate(payloads):
         (out_dir / f"vec_{counter:05d}.hq").write_bytes(payload)
     print(f"wrote {vectors.shape[0]} .hq payloads to {out_dir}")
     return 0
@@ -109,11 +108,12 @@ def cmd_dequantize(args) -> int:
         raise ValueError(f"{in_dir}: no .hq payloads")
     decoded = []
     for path in paths:
-        code = bitstream.decode(path.read_bytes())
-        decoded.append((code.base.vec_counter, dequantize_two_stage(code)))
-    # Rows follow each payload's vec_counter, not the file names, which sort
-    # "vec_100000" before "vec_10001"; the stable sort keeps file-name order
-    # among equal counters.
+        payload = path.read_bytes()
+        row = decode_payload(payload)  # validates the header read next
+        decoded.append((bitstream.HEADER.unpack_from(payload)[7], row))
+    # Rows follow each header's vec_counter (field 7), not the file names,
+    # which sort "vec_100000" before "vec_10001"; the stable sort keeps
+    # file-name order among equal counters.
     decoded.sort(key=lambda entry: entry[0])
     rows = [row for _, row in decoded]
     widths = {r.shape[0] for r in rows}

@@ -53,10 +53,8 @@ def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> T
     and dither are derived once and reused to decode it here. Raises ValueError
     for a complex or non-finite x, tokens outside [0, 2**64) or an overflowing decode.
     """
-    base, draws = _quantize(x, config, seed, vec_counter)
-    target = np.zeros(config.padded_dim)
-    if base.norm > 0.0:
-        target[: config.dim] = np.asarray(x, dtype=np.float64) / base.norm
+    base, target, draws = _quantize(x, config, seed, vec_counter)
+    if draws is not None:
         # The decoder recomputes the identical projected point, so the residual
         # is defined against exactly what the decoder will see.
         target -= project_unit_ball(_decode_padded_unit(base, config, draws))

@@ -120,24 +120,24 @@ def _reject_overflowing_decode(norm: float, decode) -> None:
 
 
 def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
-    # vector_quant without its decode check, also returning the (signs,
-    # dither) it derived, so that the two-stage codec decodes its base stage
-    # without re-deriving them; the draws are None for the zero vector, which
-    # derives nothing. The two-stage decode never scales the base alone by
-    # the norm, so that codec checks its own decode instead.
+    # vector_quant without its decode check. Also returns the padded unit
+    # direction it quantized and the (signs, dither) it derived, None for the
+    # zero vector, which the two-stage codec reuses to form its residual and
+    # decode its base stage. That codec checks its own decode instead, as it
+    # never scales the base alone by the norm.
     seed, vec_counter = check_token("seed", seed), check_token("vec_counter", vec_counter)
     x = check_vector("input vector", x, config.dim)
     norm = scaled_norm(x)
+    unit = np.zeros(config.padded_dim)
     if norm == 0.0:
         indices = np.zeros(config.padded_dim, dtype=np.uint16)
-        return VectorCode(indices, 0.0, seed, vec_counter), None
+        return VectorCode(indices, 0.0, seed, vec_counter), unit, None
     signs = derive_base_signs(seed, vec_counter, config.padded_dim)
     dither = derive_dither(seed, vec_counter)
-    unit = np.zeros(config.padded_dim)
     unit[: config.dim] = x / norm
     z = math.sqrt(config.padded_dim) * apply_hd(unit, signs)
     indices = quantize_scalar(z, config.mode, config.num_levels, dither).astype(np.uint16)
-    return VectorCode(indices, norm, seed, vec_counter), (signs, dither)
+    return VectorCode(indices, norm, seed, vec_counter), unit, (signs, dither)
 
 
 def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorCode:

@@ -98,6 +98,14 @@ def test_quantize_rejects_bad_inputs(tmp_path):
     assert main(["quantize", "--input", str(bad), "--output",
                  str(tmp_path / "c2"), "--bits", "4", "--text"]) == 1
 
+    # A row that fails only on encode (its norm exceeds float64) leaves no
+    # payload of the rows before it.
+    late = tmp_path / "late.txt"
+    late.write_text("1.0 2.0\n1.5e308 1.5e308\n")
+    assert main(["quantize", "--input", str(late), "--output",
+                 str(tmp_path / "c3"), "--bits", "4", "--text"]) == 1
+    assert not (tmp_path / "c3").exists()
+
 
 def test_missing_bits_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:

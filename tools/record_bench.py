@@ -3,13 +3,16 @@
     python3 tools/record_bench.py 12 <parent-rev> <head-rev>
 
 Each rev is run from a fresh ``git clone`` of this repository in a temporary
-directory (set TMPDIR to choose where). For each workload, the parent and then
-the head run ``python3 hqbench/run.py --workload <w> --seed <pr> --seconds 55
---trace 0``; the ``env:`` line and the last line, one JSON object, of each run
-are kept. Tier-1 then runs once per rev, and its summary line and the
-``--durations=10`` table that pyproject.toml asks for are kept. The file is
-written to BENCH_<pr>.json at the repository root. Standard library only; it
-imports nothing from the benchmark or the package.
+directory (set TMPDIR to choose where). For each workload, the parent and the
+head run ``python3 hqbench/run.py --workload <w> --seed <pr> --seconds 55
+--trace 0``, the parent first on the first workload and the head first on the
+second, so that drift over time does not land on one side only. The ``env:``
+line and the last line, one JSON object, of each run are kept. Tier-1 then
+runs once per rev, and its summary line and the ``--durations=10`` table that
+pyproject.toml asks for are kept. Both the benchmark and tier-1 run under the
+interpreter that runs this script. The file is written to BENCH_<pr>.json at
+the repository root. Standard library only; it imports nothing from the
+benchmark or the package.
 """
 
 import json
@@ -23,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("ingest-large", "fine-grid")
 SECONDS = 55
-BENCH = "python3 hqbench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace 0"
+BENCH = "hqbench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace 0"
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 DURATION = re.compile(r"^([0-9.]+)s (setup|call|teardown)\s+(.+)$")  # node ids may hold spaces
 
@@ -35,7 +38,7 @@ def clone(rev: str, into: Path) -> Path:
 
 
 def run_bench(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
-    cmd = BENCH.format(workload=workload, seed=seed, seconds=SECONDS).split()
+    cmd = [sys.executable, *BENCH.format(workload=workload, seed=seed, seconds=SECONDS).split()]
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout
     lines = out.splitlines()
     env = next(json.loads(line[len("env: "):]) for line in lines if line.startswith("env: "))
@@ -73,8 +76,9 @@ def main(argv: list[str]) -> int:
     runs = {side: {} for side in revs}
     with tempfile.TemporaryDirectory(prefix="record_bench-") as tmp:
         checkouts = {side: clone(rev, Path(tmp) / side) for side, rev in revs.items()}
-        for workload in WORKLOADS:
-            for side, checkout in checkouts.items():
+        for i, workload in enumerate(WORKLOADS):
+            order = list(checkouts.items())
+            for side, checkout in order[::-1] if i % 2 else order:
                 print(f"{side} {workload} ...", file=sys.stderr, flush=True)
                 env, result = run_bench(checkout, workload, pr)
                 runs[side].setdefault("env", env)
@@ -86,7 +90,7 @@ def main(argv: list[str]) -> int:
         "what": "hqbench end-to-end metrics (last JSON line of hqbench/run.py) and tier-1 "
                 "pytest durations, at the parent commit and at the change",
         "commands": {
-            "bench": BENCH.format(workload="<" + "|".join(WORKLOADS) + ">", seed=pr,
+            "bench": "python " + BENCH.format(workload="<" + "|".join(WORKLOADS) + ">", seed=pr,
                                   seconds=SECONDS),
             "tier1": f"PYTHONPATH=src python {' '.join(TIER1)}  (pyproject adds --durations=10)",
         },
