@@ -1,14 +1,17 @@
 """Serialize codes to the bit-exact .hq wire format and audit the rate.
 
 Payload = 36-byte header + packed indices + unary residual levels + one
-sign bit per coordinate. The body never exceeds dim*bits + ceil(3.7213*dim)
-bits, deterministically, for any input.
+sign bit per coordinate. For d = dim padded to a power of two, the body never
+exceeds d*(bits+1) + floor(LEVEL_SUM_COEFF*d) bits, deterministically, for any
+input: one sign bit plus at most LEVEL_SUM_COEFF (2.7213475) level bits per
+coordinate.
 """
 
 import numpy as np
 
 from hadaquant import QuantConfig, decode, encode, quantize_two_stage, rate_report
 from hadaquant.bitstream import HEADER, WireFormatError
+from hadaquant.residual import LEVEL_SUM_COEFF
 
 rng = np.random.default_rng(4)
 dim, bits = 48, 5
@@ -23,7 +26,8 @@ print(f"header : {payload[:HEADER.size].hex(' ')}")
 print(f"body   : {payload[HEADER.size:HEADER.size + 16].hex(' ')} ...")
 
 report = rate_report(code)
-budget = code.config.padded_dim * bits + int(np.ceil(3.7213 * code.config.padded_dim))
+d = code.config.padded_dim
+budget = d * (bits + 1) + int(np.floor(LEVEL_SUM_COEFF * d))
 print("\nbit accounting:", report)
 print(f"body bits = {report['total_bits'] - report['header_bits']} <= budget {budget}")
 

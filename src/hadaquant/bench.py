@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bitstream, oracle
+from . import bitstream, oracle, residual
 from .codebook import UNBIASED, build_codebook, cdf, quantize_scalar
 from .transform import check_int, stream_rng
 from .twostage import estimate_inner_product, quantize_two_stage
@@ -21,7 +21,6 @@ from .vquant import QuantConfig, vector_dequant, vector_quant
 MSE_CONSTANT = math.pi * math.sqrt(3.0) / 2.0  # distortion coefficient, ~2.72070
 MSE_WINDOW = (2.3, 3.0)
 INNER_PRODUCT_GATE = 48.4  # 13 * (MSE_CONSTANT + 1) rounded up at the gate
-RATE_COEFF = 3.7213  # unary levels + signs per coordinate
 ENUM_TOL = 1e-12
 ENUM_DIM = 10  # 1024 sign patterns per enumeration
 ENUM_PAIRS = 20  # random (a, b) pairs for the mixed fourth moment
@@ -244,10 +243,10 @@ def inner_product_suite(dim, bits, trials, seed, mode=UNBIASED):
 
 
 def rate_suite(dim, bits, trials, seed, mode=UNBIASED):
-    """Deterministic payload budget: body bits <= dim*bits + ceil(3.7213*dim)."""
+    """Proven payload budget: body bits <= d*(bits+1) + floor(LEVEL_SUM_COEFF*d), d padded."""
     start = time.perf_counter()
     cfg = QuantConfig(dim=dim, bits=bits, mode=mode)
-    budget = cfg.padded_dim * bits + math.ceil(RATE_COEFF * cfg.padded_dim)
+    budget = cfg.padded_dim * (bits + 1) + math.floor(residual.LEVEL_SUM_COEFF * cfg.padded_dim)
     worst = 0
     for trial in _trial_range(trials):
         x = _random_unit(stream_rng(seed, (_TAG_BENCH_RATE, trial)), dim)

@@ -38,7 +38,7 @@ HEADER = struct.Struct("<4sBBBBIQQd")
 HEADER_BITS = HEADER.size * 8
 
 _MODE_TO_BYTE = {BIASED: 0, UNBIASED: 1}
-_BYTE_TO_MODE = {0: BIASED, 1: UNBIASED}
+_BYTE_TO_MODE = {byte: mode for mode, byte in _MODE_TO_BYTE.items()}
 
 
 class WireFormatError(ValueError):

@@ -5,6 +5,13 @@ the encoder's arithmetic, its stream derivation or the wire layout would make
 old payloads decode silently to other vectors. Every digest below was computed
 once from the codec and written here; a refactor must leave them all
 unchanged.
+
+The digests can also move with no codec change. The payload inputs
+(`_golden_input`) and the inputs of every bench suite (`bench._random_unit`)
+are drawn with `Generator.standard_normal`, whose output numpy does not keep
+stable across releases (NEP 19). They hold under numpy 2.4.6, the version
+recorded in `BENCH_12.json`. The codec's own streams read raw Philox words
+instead, which numpy does keep stable (see `transform.sample_signs`).
 """
 
 import hashlib
@@ -123,9 +130,9 @@ CSV_DIGESTS = {
     ("mse", 64, 4, 1100, 5):
         "138c28313edf0cf0e231ddfad5ffcc951a645bc707f5b3cd90aa6cbd14e38a68",
     ("rate", 100, 4, 20, 3):
-        "45ff3e4b5572dfa0e6176499ca94a120da38fda8b11205d3043bb26e3e5a07fb",
+        "fe9ba79e6d10c4ea99daa0595ff0249ea41a3981f39ecbe90bea73ed5d27d62d",
     ("rate", 64, 16, 6, 5):
-        "85f86076277009d3a8324647908f35715db61d26395dcda7a4f3d2ac08bc17c8",
+        "d46e0bf01a1f8fef05c160057867c229d7ea2f8073e59e8165c4b8143068d81b",
     ("unbiased", 16, 3, 200, 4):
         "85a16b78d30bd326095b435b3d5fd68c51afc52ad05dded9eb600782ef9dbd3f",
     ("unbiased", 16, 3, 1300, 4):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hadaquant import residual
+from hadaquant import bench, residual
 from hadaquant.residual import (
     LEVEL_SUM_COEFF,
     MAX_LEVEL,
@@ -177,14 +177,26 @@ def test_doubling_levels_match_definition_on_boundaries():
 
 
 def test_level_sum_rate_bound():
-    rng = np.random.default_rng(53)
-    for d in (64, 1024):
-        for _ in range(500):
-            r = rng.standard_normal(d)
-            r *= rng.random() * 2.0 / np.linalg.norm(r)
-            code = residual_quant(r, QuantConfig(d, 4), seed=8, vec_counter=0)
-            if code.scale_idx > 0:
-                assert float(np.sum(code.levels + 1)) <= LEVEL_SUM_COEFF * d
+    # The scale floor 1/(d * 2**bits) moves with bits; the rate gate rests on this bound.
+    for bits in (1, 4, 16):
+        rng = np.random.default_rng(53)
+        for d in (64, 1024):
+            for _ in range(500):
+                r = rng.standard_normal(d)
+                r *= rng.random() * 2.0 / np.linalg.norm(r)
+                code = residual_quant(r, QuantConfig(d, bits), seed=8, vec_counter=0)
+                if code.scale_idx > 0:
+                    assert float(np.sum(code.levels + 1)) <= LEVEL_SUM_COEFF * d, (bits, d)
+
+
+@pytest.mark.parametrize("dim, bits, trials", [(64, 4, 4), (32768, 1, 1)])
+def test_rate_gate_is_the_proven_bound(dim, bits, trials):
+    # One dimension on each side of 8192..16384, where a rounded coefficient
+    # would meet the proof: above it below that range, below it beyond.
+    (row,) = bench.rate_suite(dim, bits, trials, seed=2)
+    padded = QuantConfig(dim, bits).padded_dim
+    assert row.reference == padded * (bits + 1) + math.floor(LEVEL_SUM_COEFF * padded)
+    assert row.passed
 
 
 def test_level_tail_bound():
