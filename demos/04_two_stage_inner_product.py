@@ -9,6 +9,7 @@ of <y, decoded> concentrates at the d * 4^bits rate.
 import numpy as np
 
 from hadaquant import QuantConfig, dequantize_two_stage, estimate_inner_product, quantize_two_stage
+from hadaquant.bench import INNER_PRODUCT_GATE
 
 rng = np.random.default_rng(3)
 dim, bits, trials = 512, 4, 2000
@@ -26,10 +27,9 @@ for trial in range(trials):
     sq += err * err
 
 stat = dim * 4.0**bits * sq / trials
-gate = 13.0 * (np.pi * np.sqrt(3) / 2 + 1.0)
 print(f"d = {dim}, bits = {bits}, {trials} trials")
 print(f"d * 4^b * mean <y, err>^2 = {stat:.3f}")
-print(f"guaranteed ceiling         = {gate:.3f}  (13 * (pi sqrt3/2 + 1))")
+print(f"guaranteed ceiling         = {INNER_PRODUCT_GATE:.3f}  (13 * (pi sqrt3/2 + 1))")
 
 code = quantize_two_stage(x, cfg, seed=9, vec_counter=0)
 xhat = dequantize_two_stage(code)

@@ -11,6 +11,7 @@ Exit codes: 0 success / all rows pass, 1 failure, 2 usage error.
 import argparse
 import struct
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -136,13 +137,13 @@ def cmd_bench(args) -> int:
     unread = [f"--{flag}" for flag in given if flag not in defaults]
     if unread:
         args.usage_error(f"suite {args.suite} does not read {', '.join(unread)}")
+    start = time.perf_counter()
     rows = suite(seed=args.seed, **{**defaults, **given})
+    wall = time.perf_counter() - start
     for r in rows:
         verdict = "PASS" if r.passed else "FAIL"
-        print(
-            f"{r.experiment}: measured={r.measured:.10g} reference={r.reference:.10g} "
-            f"{verdict} ({r.wall_time:.2f}s)"
-        )
+        print(f"{r.experiment}: measured={r.measured:.10g} reference={r.reference:.10g} {verdict}")
+    print(f"{args.suite}: {len(rows)} rows in {wall:.2f}s")
     if args.csv:
         Path(args.csv).write_text(bench.rows_to_csv(rows))
         print(f"csv written to {args.csv}")

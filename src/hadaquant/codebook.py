@@ -235,10 +235,7 @@ def quantize_scalar(t, mode: str, num_levels: int, dither):
     the mode, the bucket count and the dither offset alone.
     """
     dither = _check_args(mode, num_levels, dither)
-    t = np.asarray(t, dtype=np.float64)
-    if np.isnan(t).any():
-        raise ValueError("quantize_scalar: NaN input")
-    p = ndtr(t / _SQRT3)
+    p = cdf(t)
     if mode == BIASED:
         # The last grid point <= p, found without building the grid: the
         # arithmetic guess is off by at most one bucket, so it is checked

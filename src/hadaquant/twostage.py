@@ -79,6 +79,14 @@ def dequantize_two_stage(code: TwoStageCode) -> np.ndarray:
 
 
 def estimate_inner_product(code: TwoStageCode, y) -> float:
-    """Inner product of a real, finite y of length config.dim with the decoded vector."""
+    """Inner product of a real, finite y of length config.dim with the decoded vector.
+
+    Raises ValueError when that product lies beyond the float64 range.
+    """
     y = check_vector("query vector", y, code.config.dim)
-    return float(y @ dequantize_two_stage(code))
+    decoded = dequantize_two_stage(code)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ip = float(y @ decoded)
+    if not np.isfinite(ip):
+        raise ValueError("the inner product with the query vector exceeds the float64 range")
+    return ip

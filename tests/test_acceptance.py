@@ -5,6 +5,7 @@ bench CLI (`hadaquant bench <suite>`) exposes the same experiments.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -57,8 +58,9 @@ def _basis_e1_exact(bits: int, trials: int):
 
 
 def test_criterion_1_mse_constant():
+    start = time.perf_counter()
     rows = bench.mse_suite(1024, 6, 20000, SEED)
-    wall = sum(r.wall_time for r in rows)
+    wall = time.perf_counter() - start
     random_row, basis_row = rows
     assert (random_row.experiment, basis_row.experiment) == ("mse/random-unit", "mse/basis-e1")
     exact, stderr = _basis_e1_exact(6, basis_row.trials)
@@ -104,16 +106,17 @@ def test_criterion_2_unbiasedness():
 
 
 def test_criterion_3_inner_product_bound():
-    rows = bench.inner_product_suite(512, 4, 10000, SEED)
-    row = rows[0]
-    ok = row.passed and row.wall_time <= 90.0
+    start = time.perf_counter()
+    (row,) = bench.inner_product_suite(512, 4, 10000, SEED)
+    wall = time.perf_counter() - start
+    ok = row.passed and wall <= 90.0
     _report(
         3,
         "inner-product bound",
         ok,
-        f"d*4^b*mean<y,err>^2 = {row.measured:.3f} (gate 48.4), wall {row.wall_time:.1f}s",
+        f"d*4^b*mean<y,err>^2 = {row.measured:.3f} (gate 48.4), wall {wall:.1f}s",
     )
-    assert row.wall_time <= 90.0, f"runtime {row.wall_time:.1f}s exceeds 90s"
+    assert wall <= 90.0, f"runtime {wall:.1f}s exceeds 90s"
     assert row.measured <= 48.4
 
 

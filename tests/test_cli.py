@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -231,6 +232,9 @@ def test_dequantize_rejects_mixed_dimensions(tmp_path, capsys):
 
 def test_bench_oracle_passes_every_row(capsys):
     assert main(["bench", "oracle"]) == 0
-    rows = capsys.readouterr().out.splitlines()
-    # three enumeration identities and the dense-Hadamard orthonormality
-    assert len(rows) == 4 and all(row.startswith("oracle/") and " PASS " in row for row in rows)
+    *rows, wall = capsys.readouterr().out.splitlines()
+    # three enumeration identities and the FWHT against the dense Hadamard,
+    # then the suite's wall time, printed once
+    assert len(rows) == 4
+    assert all(row.startswith("oracle/") and row.endswith(" PASS") for row in rows)
+    assert re.fullmatch(r"oracle: 4 rows in \d+\.\d\ds", wall)

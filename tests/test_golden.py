@@ -153,6 +153,18 @@ def test_bench_csv_digest(case):
     assert hashlib.sha256(csv.encode()).hexdigest() == CSV_DIGESTS[case]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bench.mse_suite(16, 3, 5, seed=1),
+    lambda: bench.unbiased_suite(16, 2, 5, seed=1),
+    lambda: bench.inner_product_suite(16, 3, 5, seed=1),
+    lambda: bench.rate_suite(16, 3, 5, seed=1),
+    lambda: bench.oracle_suite(seed=1),
+], ids=["mse", "unbiased", "inner-product", "rate", "oracle"])
+def test_suite_rows_repeat(call):
+    # A row holds only what the suite measures, so a second call returns equal rows.
+    assert call() == call()
+
+
 # inner_product_suite(dim, bits, trials, seed) -> (measured, passed).
 # `measured` is a mean of products of decoded coordinates; rounding the
 # decoded vector differently in its last bits moves it by about 1e-12

@@ -187,6 +187,18 @@ def test_level_sum_rate_bound():
                 code = residual_quant(r, QuantConfig(d, bits), seed=8, vec_counter=0)
                 if code.scale_idx > 0:
                     assert float(np.sum(code.levels + 1)) <= LEVEL_SUM_COEFF * d, (bits, d)
+            # Gaussian residuals stay below 1.5 * d. Near the bound: every
+            # transformed coordinate but the last sits just above the scale the
+            # norm quantizes to, so each takes level 1 and the sum is 2d - 1.
+            num_levels = 1 << bits
+            sigma = scalar_dequant(scalar_quant(0.5 / math.sqrt(d), d, num_levels), d, num_levels)
+            v = np.zeros(d)
+            v[:-1] = sigma * (1.0 + 0.4 / d)
+            v[1:-1:2] *= -1.0
+            r = apply_hd_inverse(v, derive_residual_signs(8, 0, d))
+            code = residual_quant(r, QuantConfig(d, bits), seed=8, vec_counter=0)
+            level_sum = int(np.sum(code.levels + 1))
+            assert level_sum == 2 * d - 1 and level_sum <= LEVEL_SUM_COEFF * d, (bits, d)
 
 
 @pytest.mark.parametrize("dim, bits, trials", [(64, 4, 4), (32768, 1, 1)])

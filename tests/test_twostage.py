@@ -132,6 +132,11 @@ def test_rejects_non_unit_and_bad_shapes():
         estimate_inner_product(code, np.zeros(7))
     with pytest.raises(ValueError, match="complex"):
         estimate_inner_product(code, np.array([1 + 5j] + [2.0] * 7))
+    # a finite query whose product with the decoded vector overflows gave inf
+    aligned = np.sign(dequantize_two_stage(code))
+    with pytest.raises(ValueError, match="exceeds the float64 range"):
+        estimate_inner_product(code, 1e308 * aligned)
+    assert math.isfinite(estimate_inner_product(code, 1e300 * aligned))
     bad = TwoStageCode(
         code.base,
         ResidualCode(code.residual.scale_idx, code.residual.levels[:4],
