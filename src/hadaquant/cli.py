@@ -90,11 +90,14 @@ def decode_payload(data: bytes) -> np.ndarray:
 
 
 def cmd_quantize(args) -> int:
+    out_dir = Path(args.output)
+    # Payloads of an earlier run would be decoded along with this one's.
+    if any(out_dir.glob("*.hq")):
+        raise ValueError(f"{out_dir}: already holds .hq payloads")
     vectors = read_vectors(args.input, text=args.text)
     config = QuantConfig(dim=vectors.shape[1], bits=args.bits, mode=args.mode)
     # Every row is encoded, and so checked, before the first file is written.
     payloads = [encode_vector(x, config, args.seed, c) for c, x in enumerate(vectors)]
-    out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     for counter, payload in enumerate(payloads):
         (out_dir / f"vec_{counter:05d}.hq").write_bytes(payload)
@@ -110,7 +113,10 @@ def cmd_dequantize(args) -> int:
     decoded = []
     for path in paths:
         payload = path.read_bytes()
-        row = decode_payload(payload)  # validates the header read next
+        try:
+            row = decode_payload(payload)  # validates the header read next
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         decoded.append((bitstream.HEADER.unpack_from(payload)[7], row))
     # Rows follow each header's vec_counter (field 7), not the file names,
     # which sort "vec_100000" before "vec_10001"; the stable sort keeps

@@ -64,25 +64,20 @@ def inv_cdf(p):
     return float(out) if out.ndim == 0 else out
 
 
-def _inv_cdf_slope(s: np.ndarray, inside: bool) -> None:
-    # Writes (inv_cdf)'(s) = 1 / density(inv_cdf(s)) over the float64 array s:
-    # +inf outside (0, 1), which keeps divergent sums well-defined instead of
-    # raising. The caller passes inside=True when it knows every entry lies in
-    # (0, 1); otherwise the entries outside are found and skipped. The
-    # operations of 1 / (_PDF_NORM * exp(-(_SQRT3 * ndtri(s))**2 / 6)), in
-    # that order, run in place: at 2**16 entries a temporary costs as much as
-    # the arithmetic.
-    ok = True if inside else (s > 0.0) & (s < 1.0)
+def _inv_cdf_slope(s: np.ndarray) -> None:
+    # Writes (inv_cdf)'(s) = 1 / density(inv_cdf(s)) over the float64 array s,
+    # whose entries lie in [0, 1]: +inf at 0 and 1, which keeps divergent sums
+    # well-defined instead of raising. The operations of
+    # 1 / (_PDF_NORM * exp(-(_SQRT3 * ndtri(s))**2 / 6)), in that order, run
+    # in place: at 2**16 entries a temporary costs as much as the arithmetic.
     with np.errstate(divide="ignore", over="ignore"):
-        ndtri(s, out=s, where=ok)
-        np.multiply(s, _SQRT3, out=s, where=ok)
-        np.multiply(s, s, out=s, where=ok)
-        np.divide(s, -6.0, out=s, where=ok)
-        np.exp(s, out=s, where=ok)
-        np.multiply(s, _PDF_NORM, out=s, where=ok)
-        np.divide(1.0, s, out=s, where=ok)
-    if not inside:
-        s[~ok] = np.inf
+        ndtri(s, out=s)
+        np.multiply(s, _SQRT3, out=s)
+        np.multiply(s, s, out=s)
+        np.divide(s, -6.0, out=s)
+        np.exp(s, out=s)
+        np.multiply(s, _PDF_NORM, out=s)
+        np.divide(1.0, s, out=s)
 
 
 def _biased_grid_points(j, size: int, dither) -> np.ndarray:
@@ -158,10 +153,12 @@ def _build_unbiased(size: int, dither: np.ndarray) -> np.ndarray:
             np.add(u[:, None], offsets, out=recon)
         elif rows.any():
             np.add(u[:, None], offsets, out=recon, where=rows[:, None])
-    # The rows are nondecreasing, so their ends decide whether every
-    # midpoint lies inside the domain.
-    inside = bool((recon[:, 0] > 0.0).all() and (recon[:, -1] < 1.0).all())
-    _inv_cdf_slope(recon, inside)
+    # The rows are nondecreasing, so their ends decide whether a midpoint
+    # leaves (0, 1), next to dither 0 or 1; clipping it to the nearer end
+    # gives it the same +inf slope.
+    if not ((recon[:, 0] > 0.0).all() and (recon[:, -1] < 1.0).all()):
+        np.clip(recon, 0.0, 1.0, out=recon)
+    _inv_cdf_slope(recon)
     recon *= spacing
     # Partial sums accumulated outward from the anchor, so that a divergent
     # increment next to a domain endpoint cannot poison the rest. With the

@@ -1,8 +1,8 @@
 """Independent brute-force and quadrature oracles that the bench suites run.
 
 Nothing here shares code with the modules it validates: the dense Hadamard
-matrix is built by explicit Sylvester recursion, expectations over sign
-patterns are exhaustive enumerations, and dither averages are piecewise
+matrix is built by explicit Sylvester recursion, an expectation over signs is
+a mean over the rows of ``sign_patterns``, and dither averages are piecewise
 Gauss-Legendre quadrature with caller-supplied jump points. Reference
 formulas that only tests read live with the tests.
 
@@ -18,27 +18,16 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-_ENUM_CAP = 12  # 4096 sign patterns; keeps exact full-pipeline checks fast
+ENUM_DIM = 12  # 4096 sign patterns: the largest enumeration, and the one the bench runs
 U_AVERAGE_TOL = 1e-10  # refinement error allowed per unit length of a u_average piece
 
 
 def sign_patterns(dim: int) -> np.ndarray:
-    """All 2**dim sign vectors as a (2**dim, dim) array of +-1."""
-    if dim > _ENUM_CAP:
-        raise ValueError(f"enumeration capped at dim <= {_ENUM_CAP}, got {dim}")
+    """All 2**dim sign vectors as a (2**dim, dim) array of +-1 (dim <= ENUM_DIM)."""
+    if dim > ENUM_DIM:
+        raise ValueError(f"enumeration capped at dim <= {ENUM_DIM}, got {dim}")
     bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
     return 1.0 - 2.0 * bits
-
-
-def enumerate_rademacher_expectation(fn, dim: int):
-    """Exact expectation of fn over all 2**dim sign vectors (dim <= 12).
-
-    fn may return a scalar or an array; the mean is taken pattern-wise.
-    """
-    patterns = sign_patterns(dim)
-    vals = np.asarray([fn(row) for row in patterns], dtype=np.float64)
-    out = vals.mean(axis=0)
-    return float(out) if out.ndim == 0 else out
 
 
 @functools.cache

@@ -16,11 +16,12 @@ from . import residual, vquant
 from .residual import ResidualCode, residual_dequant, residual_quant
 from .transform import check_vector
 from .vquant import (
+    _DECODE_CHECK_NORM,
     QuantConfig,
     VectorCode,
     _decode_padded_unit,
     _quantize,
-    _reject_overflowing_decode,
+    _scale_decoded,
 )
 
 
@@ -59,15 +60,17 @@ def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> T
         # is defined against exactly what the decoder will see.
         target -= project_unit_ball(_decode_padded_unit(base, config, draws))
     code = TwoStageCode(base, residual_quant(target, config, seed, vec_counter), config)
-    _reject_overflowing_decode(base.norm, lambda: dequantize_two_stage(code))
+    if base.norm > _DECODE_CHECK_NORM:
+        dequantize_two_stage(code)  # raises if the decode overflows
     return code
 
 
 def dequantize_two_stage(code: TwoStageCode) -> np.ndarray:
     """Decode: stored norm times (projected base reconstruction plus residual).
 
-    Raises ValueError unless check_code passes. Each stage is checked once,
-    the residual inside residual_dequant.
+    Raises ValueError unless check_code passes, or when a coordinate of the
+    decode lies beyond the float64 range. Each stage is checked once, the
+    residual inside residual_dequant.
     """
     config, base = code.config, code.base
     vquant.check_code(base, config)
@@ -75,7 +78,7 @@ def dequantize_two_stage(code: TwoStageCode) -> np.ndarray:
     if base.norm == 0.0:
         return np.zeros(config.dim)
     approx = project_unit_ball(_decode_padded_unit(base, config))
-    return base.norm * (approx + rhat)[: config.dim]
+    return _scale_decoded(base.norm, (approx + rhat)[: config.dim])
 
 
 def estimate_inner_product(code: TwoStageCode, y) -> float:

@@ -105,25 +105,29 @@ def scaled_norm(x: np.ndarray) -> float:
         raise ValueError("the norm of the input vector exceeds the float64 range") from None
 
 
-# Codebook entries stay below 2**52 at every dither the streams can draw, so
-# a decoded coordinate is below 2**52 times the norm; only a norm above this
-# can overflow on decode, and only such inputs are decoded at encode time.
-_DECODE_CHECK_NORM = 2.0**960
+# Codebook entries stay below 2**52 at every dither the streams can draw, and
+# a residual decodes to at most 2**317 per unit norm (scale index 255, every
+# level 64), so a well-formed code decodes to a finite vector at any norm up
+# to this. Only above it does a decoder check its product.
+_DECODE_CHECK_NORM = 2.0**700
 
 
-def _reject_overflowing_decode(norm: float, decode) -> None:
-    if norm > _DECODE_CHECK_NORM:
-        with np.errstate(over="ignore"):
-            finite = bool(np.all(np.isfinite(decode())))
-        if not finite:
-            raise ValueError("decoding this vector would exceed the float64 range")
+def _scale_decoded(norm: float, direction: np.ndarray) -> np.ndarray:
+    # norm * direction for both decoders; ValueError where that overflows.
+    if norm <= _DECODE_CHECK_NORM:
+        return norm * direction
+    with np.errstate(over="ignore"):
+        out = norm * direction
+    if not np.isfinite(out).all():
+        raise ValueError("the decoded vector exceeds the float64 range")
+    return out
 
 
 def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
     # vector_quant without its decode check. Also returns the padded unit
     # direction it quantized and the (signs, dither) it derived, None for the
     # zero vector, which the two-stage codec reuses to form its residual and
-    # decode its base stage. That codec checks its own decode instead, as it
+    # decode its base stage. That codec runs its own decoder instead, as it
     # never scales the base alone by the norm.
     seed, vec_counter = check_token("seed", seed), check_token("vec_counter", vec_counter)
     x = check_vector("input vector", x, config.dim)
@@ -147,7 +151,8 @@ def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorC
     seed and vec_counter must be integers in [0, 2**64), the range the streams key on.
     """
     code = _quantize(x, config, seed, vec_counter)[0]
-    _reject_overflowing_decode(code.norm, lambda: vector_dequant(code, config))
+    if code.norm > _DECODE_CHECK_NORM:
+        vector_dequant(code, config)  # raises if the decode overflows
     return code
 
 
@@ -167,8 +172,11 @@ def _decode_padded_unit(code: VectorCode, config: QuantConfig, draws=None) -> np
 
 
 def vector_dequant(code: VectorCode, config: QuantConfig) -> np.ndarray:
-    """Decode a VectorCode back to a length-dim vector; check_code judges it first."""
+    """Decode a VectorCode back to a length-dim vector; check_code judges it first.
+
+    Raises ValueError when a coordinate of the decode lies beyond the float64 range.
+    """
     check_code(code, config)
     if code.norm == 0.0:
         return np.zeros(config.dim)
-    return code.norm * _decode_padded_unit(code, config)[: config.dim]
+    return _scale_decoded(code.norm, _decode_padded_unit(code, config)[: config.dim])

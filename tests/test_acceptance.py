@@ -132,7 +132,7 @@ def test_criterion_4_rate_bound():
 
 
 def test_criterion_5_exact_enumeration_suite():
-    errors = bench.enumeration_reports(SEED, dim=12)
+    errors = bench.enumeration_reports(SEED)
     worst = max(errors.values())
     ok = worst <= 1e-12
     _report(5, "exact enumeration suite", ok, f"worst enumeration error {worst:.2e} (gate 1e-12)")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import struct
@@ -15,7 +16,9 @@ from hadaquant.cli import (
     write_vectors,
 )
 from hadaquant.codebook import build_codebook
+from hadaquant.residual import ResidualCode
 from hadaquant.transform import apply_hd
+from hadaquant.twostage import TwoStageCode, quantize_two_stage
 from hadaquant.vquant import QuantConfig, derive_base_signs, derive_dither
 
 
@@ -216,6 +219,48 @@ def test_read_vectors_rejects_malformed_files(tmp_path, content, text, message):
     path.write_bytes(content)
     with pytest.raises(ValueError, match=message):
         read_vectors(path, text=text)
+
+
+def test_quantize_refuses_a_directory_holding_payloads(tmp_path, capsys):
+    # a second run into the same directory would leave the first run's
+    # extra payloads to be decoded with its own
+    rng = np.random.default_rng(84)
+    five, three, codes = tmp_path / "five.vec", tmp_path / "three.vec", tmp_path / "codes"
+    write_vectors(five, rng.standard_normal((5, 6)))
+    write_vectors(three, rng.standard_normal((3, 6)))
+    assert main(["quantize", "--input", str(five), "--output", str(codes), "--bits", "4"]) == 0
+    before = {p.name: p.read_bytes() for p in codes.iterdir()}
+    assert main(["quantize", "--input", str(three), "--output", str(codes), "--bits", "4"]) == 1
+    assert "already holds .hq payloads" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in codes.iterdir()} == before
+
+
+def test_dequantize_names_the_payload_it_fails_on(tmp_path, capsys):
+    codes = tmp_path / "codes"
+    codes.mkdir()
+    (codes / "vec_00000.hq").write_bytes(encode_vector(np.ones(4), QuantConfig(4, 3), 0, 0))
+    (codes / "vec_00001.hq").write_bytes(bytes(4))
+    out = tmp_path / "out.vec"
+    assert main(["dequantize", "--input", str(codes), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{codes / 'vec_00001.hq'}: payload of 4 bytes is shorter than the header" in err
+    assert not out.exists()
+
+
+def test_dequantize_rejects_a_payload_decoding_beyond_float64(tmp_path, capsys):
+    # a well-formed code at norm 2**800 whose residual stage, at scale index
+    # 255 with every level 64, decodes beyond float64
+    cfg = QuantConfig(4, 3)
+    code = quantize_two_stage(np.array([3.0, -2.0, 1.0, 0.5]), cfg, 0, 1)
+    code = TwoStageCode(dataclasses.replace(code.base, norm=2.0**800),
+                        ResidualCode(255, np.full(4, 64), np.ones(4, dtype=np.int8)), cfg)
+    codes = tmp_path / "codes"
+    codes.mkdir()
+    (codes / "vec_00000.hq").write_bytes(bitstream.encode(code))
+    out = tmp_path / "out.vec"
+    assert main(["dequantize", "--input", str(codes), "--output", str(out)]) == 1
+    assert "exceeds the float64 range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dequantize_rejects_mixed_dimensions(tmp_path, capsys):

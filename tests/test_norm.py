@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hadaquant import bitstream
 from hadaquant.cli import decode_payload, encode_vector
 from hadaquant.codebook import BIASED, MODES
-from hadaquant.twostage import dequantize_two_stage, quantize_two_stage
+from hadaquant.residual import ResidualCode
+from hadaquant.twostage import TwoStageCode, dequantize_two_stage, quantize_two_stage
 from hadaquant.vquant import QuantConfig, scaled_norm, vector_dequant, vector_quant
 
 
@@ -51,6 +53,28 @@ def test_only_overflowing_norms_are_rejected():
     code = vector_quant(x, cfg, 0, 1)
     for decoded in (vector_dequant(code, cfg), decode_payload(encode_vector(x, cfg, 0, 1))):
         assert np.all(np.isfinite(decoded)) and decoded.min() > 0.0
+
+
+def _overflowing_codes():
+    # well-formed codes whose decode exceeds float64: a base code at norm
+    # 1.7e308 with every index at the top bucket, and a two-stage code whose
+    # residual has scale index 255 and every level 64, at norm 2**800
+    x, cfg = np.array([3.0, -2.0, 1.0, 0.5]), QuantConfig(4, 3)
+    top = np.full(4, 7, dtype=np.uint16)
+    base = dataclasses.replace(vector_quant(x, cfg, 0, 1), norm=1.7e308, indices=top)
+    big = dataclasses.replace(quantize_two_stage(x, cfg, 0, 1).base, norm=2.0**800)
+    residual = ResidualCode(255, np.full(4, 64), np.ones(4, dtype=np.int8))
+    return base, TwoStageCode(big, residual, cfg)
+
+
+def test_decoders_reject_a_decode_beyond_float64():
+    base, two_stage = _overflowing_codes()
+    with pytest.raises(ValueError, match="float64 range"):
+        vector_dequant(base, two_stage.config)
+    with pytest.raises(ValueError, match="float64 range"):
+        dequantize_two_stage(two_stage)
+    with pytest.raises(ValueError, match="float64 range"):
+        decode_payload(bitstream.encode(two_stage))
 
 
 @pytest.mark.parametrize("x, cfg", [

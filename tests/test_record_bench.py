@@ -1,0 +1,69 @@
+"""tools/record_bench.py's per-metric summary, on synthetic runs; no process starts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("record_bench", ROOT / "tools" / "record_bench.py")
+record_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record_bench)
+
+METRICS = [
+    {"name": "score_per_s", "better": "higher", "bound": 0.25},
+    {"name": "verify_s", "better": "lower", "bound": 0.25},
+]
+
+
+def _run(score, verify):
+    return {"metrics": {"score_per_s": {"value": score}, "verify_s": {"value": verify}}}
+
+
+def _pairs(parent, head):
+    return [{"parent": _run(*p), "head": _run(*h)} for p, h in zip(parent, head)]
+
+
+def test_summary_counts_wins_by_direction_and_ties_for_neither():
+    parent = [(float(100 + i), 1.0 + i / 10) for i in range(10)]
+    # the head scores higher in pairs 0-5, equal in 6-7, lower in 8-9, and its
+    # verify time is lower in pairs 0-2, equal in 3, higher in 4-9
+    head = [(s + (5.0 if i < 6 else 0.0 if i < 8 else -5.0),
+             v + (-0.05 if i < 3 else 0.0 if i == 3 else 0.05))
+            for i, (s, v) in enumerate(parent)]
+    summary = record_bench.summarize(_pairs(parent, head), METRICS)
+    score, verify = summary["score_per_s"], summary["verify_s"]
+    assert score["head_wins"] == 6 and verify["head_wins"] == 3
+    assert score["pairs"] == verify["pairs"] == 10
+    assert score["parent_median"] == 104.5
+    assert score["parent_quartiles"] == [102.25, 106.75]
+    assert score["head_median"] == 106.5
+    assert verify["parent_median"] == pytest.approx(1.45)
+    assert not score["worse_than_bound"] and not verify["worse_than_bound"]
+
+
+@pytest.mark.parametrize("score, verify, flags", [
+    (74.0, 1.0, (True, False)),   # 26% fewer scores/s
+    (76.0, 1.0, (False, False)),  # 24% fewer: inside the bound
+    (200.0, 1.26, (False, True)),  # 26% more seconds
+    (200.0, 0.5, (False, False)),
+])
+def test_summary_flags_a_head_median_beyond_the_bound(score, verify, flags):
+    pairs = _pairs([(100.0, 1.0)] * 10, [(score, verify)] * 10)
+    summary = record_bench.summarize(pairs, METRICS)
+    assert (summary["score_per_s"]["worse_than_bound"],
+            summary["verify_s"]["worse_than_bound"]) == flags
+
+
+def test_pairs_alternate_which_side_runs_first():
+    firsts = [record_bench.pair_order(i)[0] for i in range(record_bench.PAIRS)]
+    assert firsts == ["parent", "head"] * (record_bench.PAIRS // 2)
+
+
+def test_summary_reads_every_end_to_end_metric_of_the_benchmark():
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    run = {"metrics": {m["name"]: {"value": 1.0} for m in metrics}}
+    summary = record_bench.summarize([{"parent": run, "head": run}] * 3, metrics)
+    assert list(summary) == [m["name"] for m in metrics]
+    assert all(s["head_wins"] == 0 and not s["worse_than_bound"] for s in summary.values())

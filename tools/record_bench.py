@@ -1,23 +1,29 @@
 """Record a BENCH_<pr>.json: the benchmark and tier-1 at a parent rev and a head rev.
 
-    python3 tools/record_bench.py 12 <parent-rev> <head-rev>
+    python3 tools/record_bench.py 15 <parent-rev> <head-rev>
 
 Each rev is run from a fresh ``git clone`` of this repository in a temporary
-directory (set TMPDIR to choose where). For each workload, the parent and the
-head run ``python3 hqbench/run.py --workload <w> --seed <pr> --seconds 55
---trace 0``, the parent first on the first workload and the head first on the
-second, so that drift over time does not land on one side only. The ``env:``
-line and the last line, one JSON object, of each run are kept. Tier-1 then
-runs once per rev, and its summary line and the ``--durations=10`` table that
-pyproject.toml asks for are kept. Both the benchmark and tier-1 run under the
-interpreter that runs this script. The file is written to BENCH_<pr>.json at
-the repository root. Standard library only; it imports nothing from the
-benchmark or the package.
+directory (set TMPDIR to choose where). Each workload runs PAIRS pairs: pair i
+runs ``python3 hqbench/run.py --workload <w> --seed <100*pr + i> --seconds 55
+--trace 0`` on both revs, the parent first in even pairs and the head first in
+odd ones, so that drift over time does not land on one side only. The last
+line, one JSON object, of every run is kept, and the ``env:`` line of each
+rev's first run. For each workload and end-to-end metric of BENCHMARK.json the
+file then records the parent's median and quartiles, the head's median, the
+pairs the head wins by the metric's ``better`` (a tie counts for neither side),
+and whether the head's median is worse than the parent's by more than the
+metric's relative ``bound``. Tier-1 then runs once per rev, and its summary
+line and the ``--durations=10`` table that pyproject.toml asks for are kept.
+Both the benchmark and tier-1 run under the interpreter that runs this script.
+The file is written to BENCH_<pr>.json at the repository root. Standard library
+only; it imports nothing from the benchmark or the package. Ten pairs of two
+55-s workloads take about 40 minutes on a 2-CPU host.
 """
 
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -25,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("ingest-large", "fine-grid")
+PAIRS = 10
 SECONDS = 55
 BENCH = "hqbench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace 0"
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
@@ -59,6 +66,37 @@ def run_tier1(checkout: Path) -> dict:
     return {"summary": summary, "slowest": slowest}
 
 
+def pair_order(i: int) -> tuple[str, str]:
+    """The sides of pair i in run order: the parent first in even pairs."""
+    return ("parent", "head") if i % 2 == 0 else ("head", "parent")
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per-metric verdicts over the pairs of one workload.
+
+    Each pair is ``{"parent": result, "head": result}``, a result being the
+    last JSON line of a run; end_to_end is BENCHMARK.json's list of metrics,
+    each with ``name``, ``better`` ("higher" or "lower") and a relative
+    ``bound``. Quartiles are statistics.quantiles' inclusive ones.
+    """
+    out = {}
+    for metric in end_to_end:
+        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+        before, after = ([p[side]["metrics"][name]["value"] for p in pairs]
+                         for side in ("parent", "head"))
+        parent, head = statistics.median(before), statistics.median(after)
+        q1, _, q3 = statistics.quantiles(before, n=4, method="inclusive")
+        out[name] = {
+            "parent_median": parent,
+            "parent_quartiles": [q1, q3],
+            "head_median": head,
+            "head_wins": sum(sign * (h - p) > 0 for p, h in zip(before, after)),
+            "pairs": len(pairs),
+            "worse_than_bound": sign * (head - parent) < -metric["bound"] * abs(parent),
+        }
+    return out
+
+
 def cpu_model() -> str:
     try:
         text = Path("/proc/cpuinfo").read_text()
@@ -73,30 +111,37 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     pr, revs = int(argv[0]), {"parent": argv[1], "head": argv[2]}
-    runs = {side: {} for side in revs}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    env, runs, tier1 = {}, {workload: [] for workload in WORKLOADS}, {}
     with tempfile.TemporaryDirectory(prefix="record_bench-") as tmp:
         checkouts = {side: clone(rev, Path(tmp) / side) for side, rev in revs.items()}
-        for i, workload in enumerate(WORKLOADS):
-            order = list(checkouts.items())
-            for side, checkout in order[::-1] if i % 2 else order:
-                print(f"{side} {workload} ...", file=sys.stderr, flush=True)
-                env, result = run_bench(checkout, workload, pr)
-                runs[side].setdefault("env", env)
-                runs[side][workload] = result
+        for workload in WORKLOADS:
+            for i in range(PAIRS):
+                seed, pair = 100 * pr + i, {}
+                for side in pair_order(i):
+                    print(f"{workload} pair {i} {side} ...", file=sys.stderr, flush=True)
+                    side_env, pair[side] = run_bench(checkouts[side], workload, seed)
+                    env.setdefault(side, side_env)
+                runs[workload].append({"seed": seed, "first": pair_order(i)[0], **pair})
         for side, checkout in checkouts.items():
             print(f"{side} tier-1 ...", file=sys.stderr, flush=True)
-            runs[side]["tier1"] = run_tier1(checkout)
+            tier1[side] = run_tier1(checkout)
     record = {
-        "what": "hqbench end-to-end metrics (last JSON line of hqbench/run.py) and tier-1 "
-                "pytest durations, at the parent commit and at the change",
+        "what": "hqbench end-to-end metrics (last JSON line of hqbench/run.py) over "
+                f"{PAIRS} pairs per workload, their per-metric summary, and tier-1 pytest "
+                "durations, at the parent commit and at the change",
         "commands": {
-            "bench": "python " + BENCH.format(workload="<" + "|".join(WORKLOADS) + ">", seed=pr,
-                                  seconds=SECONDS),
+            "bench": "python " + BENCH.format(workload="<" + "|".join(WORKLOADS) + ">",
+                                              seed=f"<{100 * pr}..{100 * pr + PAIRS - 1}>",
+                                              seconds=SECONDS),
             "tier1": f"PYTHONPATH=src python {' '.join(TIER1)}  (pyproject adds --durations=10)",
         },
-        "machine": {"cpu_model": cpu_model(),
-                    "note": f"{os.cpu_count()} CPUs; single runs, read as +-20%"},
+        "machine": {"cpu_model": cpu_model(), "note": f"{os.cpu_count()} CPUs"},
+        "revs": revs,
+        "env": env,
+        "summary": {workload: summarize(pairs, end_to_end) for workload, pairs in runs.items()},
         "runs": runs,
+        "tier1": tier1,
     }
     out = ROOT / f"BENCH_{pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
