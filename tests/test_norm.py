@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hadaquant import bitstream
-from hadaquant.cli import decode_payload, encode_vector
+from hadaquant.cli import decode_payload, encode_vector, main
 from hadaquant.codebook import BIASED, MODES
 from hadaquant.residual import ResidualCode
 from hadaquant.twostage import TwoStageCode, dequantize_two_stage, quantize_two_stage
@@ -75,6 +75,15 @@ def test_decoders_reject_a_decode_beyond_float64():
         dequantize_two_stage(two_stage)
     with pytest.raises(ValueError, match="float64 range"):
         decode_payload(bitstream.encode(two_stage))
+
+
+def test_dequantize_command_rejects_a_payload_decoding_beyond_float64(tmp_path, capsys):
+    codes, out = tmp_path / "codes", tmp_path / "out.vec"
+    codes.mkdir()
+    (codes / "vec_00000.hq").write_bytes(bitstream.encode(_overflowing_codes()[1]))
+    assert main(["dequantize", "--input", str(codes), "--output", str(out)]) == 1
+    assert "exceeds the float64 range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("x, cfg", [
