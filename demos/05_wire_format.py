@@ -3,8 +3,8 @@
 Payload = 36-byte header + packed indices + unary residual levels + one
 sign bit per coordinate. For d = dim padded to a power of two, the body never
 exceeds d*(bits+1) + floor(LEVEL_SUM_COEFF*d) bits, deterministically, for any
-input: one sign bit plus at most LEVEL_SUM_COEFF (2.7213475) level bits per
-coordinate.
+input: one sign bit plus at most LEVEL_SUM_COEFF = 2 + 1/(2 ln 2) level bits
+per coordinate.
 """
 
 import numpy as np

@@ -3,7 +3,8 @@
 An unbiased vector codec with distortion (pi*sqrt(3)/2 + o(1)) / 4**bits per
 unit vector, a two-stage residual codec for inner-product estimation, and a
 bit-exact wire format: a 288-bit header, then a body that never exceeds
-d*bits + floor(3.7213475*d) bits, where d is dim padded to a power of two.
+d*(bits+1) + floor(residual.LEVEL_SUM_COEFF*d) bits, where d is dim padded
+to a power of two.
 """
 
 from .codebook import (
@@ -27,7 +28,6 @@ from .residual import (
     residual_dequant,
     residual_quant,
     scalar_dequant,
-    scalar_quant,
 )
 from .twostage import (
     TwoStageCode,
@@ -66,7 +66,6 @@ __all__ = [
     "residual_quant",
     "sample_signs",
     "scalar_dequant",
-    "scalar_quant",
     "stream_rng",
     "vector_dequant",
     "vector_quant",

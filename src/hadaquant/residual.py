@@ -45,24 +45,11 @@ def _ceil_log2(x):
     return np.where(m == 0.5, e - 1, e)
 
 
-def scalar_quant(s: float, padded_dim: int, num_levels: int) -> int:
-    """Scale index for s >= 0: zero below the floor, else a doubling exponent."""
-    s = float(s)
-    if not s >= 0.0:
-        raise ValueError(f"scale must be >= 0, got {s}")
-    tau = min_scale(padded_dim, num_levels)
-    if s < tau:
-        return 0
-    idx = int(_ceil_log2(s / tau)) + 1
-    if idx > MAX_SCALE_IDX:
-        raise RuntimeError(f"scale index {idx} exceeds the one-byte cap")
-    return idx
-
-
 def scalar_dequant(scale_idx: int, padded_dim: int, num_levels: int) -> float:
     """Quantized scale: 0, or the floor times 2**(scale_idx - 1).
 
-    For s >= the floor the round trip satisfies s <= scalar_dequant(...) < 2 s.
+    residual_quant picks the index whose scale sigma covers s = ||r||/sqrt(d)
+    at or above the floor within a factor of two: s <= sigma < 2 s.
     """
     if check_int("scale index", scale_idx, 0, MAX_SCALE_IDX) == 0:
         return 0.0
@@ -79,25 +66,25 @@ class ResidualCode:
 
     scale_idx: int
     levels: np.ndarray  # (d,) int64, all zero when scale_idx == 0
-    signs: np.ndarray  # (d,) int8 in {-1,+1}; zero placeholders when scale_idx == 0
+    signs: np.ndarray  # (d,) int8 in {-1,+1}, all zero when scale_idx == 0
 
 
 def check_code(code: ResidualCode, config: QuantConfig) -> None:
     """Raise ValueError unless residual_quant can make code under config.
 
     Such a code has a scale index in [0, MAX_SCALE_IDX] and levels and signs
-    of shape (config.padded_dim,); when the scale index is nonzero, the
-    levels are integers in [0, MAX_LEVEL] and the signs are -1 or +1.
+    of shape (config.padded_dim,): at a nonzero scale index, integer levels in
+    [0, MAX_LEVEL] and signs -1 or +1; at 0, integer zero levels and zero signs.
     """
     check_int("scale index", code.scale_idx, 0, MAX_SCALE_IDX)
     levels, signs, d = np.asarray(code.levels), np.asarray(code.signs), config.padded_dim
     if levels.shape != (d,) or signs.shape != (d,):
         raise ValueError(f"levels {levels.shape} and signs {signs.shape} need length {d}")
-    if code.scale_idx > 0:
-        if levels.dtype.kind not in "iu" or levels.min() < 0 or levels.max() > MAX_LEVEL:
-            raise ValueError(f"levels must be integers in [0, {MAX_LEVEL}]")
-        if not np.all(np.abs(signs) == 1):
-            raise ValueError("sign entries must be -1 or +1 when the scale index is nonzero")
+    top, sign = (MAX_LEVEL, 1) if code.scale_idx else (0, 0)
+    if levels.dtype.kind not in "iu" or levels.min() < 0 or levels.max() > top:
+        raise ValueError(f"levels must be integers in [0, {top}] at scale index {code.scale_idx}")
+    if not np.all(np.abs(signs) == sign):
+        raise ValueError(f"signs must have magnitude {sign} at scale index {code.scale_idx}")
 
 
 def derive_residual_signs(seed: int, vec_counter: int, padded_dim: int):
@@ -125,9 +112,11 @@ def residual_quant(r, config: QuantConfig, seed: int, vec_counter: int) -> Resid
     norm = float(np.linalg.norm(r))
     if norm > 2.0 * (1.0 + 1e-9):
         raise ValueError(f"residual norm {norm} exceeds the unit-ball bound of 2")
-    scale_idx = scalar_quant(norm / math.sqrt(d), d, config.num_levels)
-    if scale_idx == 0:
+    s, tau = norm / math.sqrt(d), min_scale(d, config.num_levels)
+    if s < tau:
         return ResidualCode(0, np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8))
+    # s / tau <= 2 * sqrt(d) * num_levels, so the index stays far below MAX_SCALE_IDX.
+    scale_idx = int(_ceil_log2(s / tau)) + 1
     sigma = scalar_dequant(scale_idx, d, config.num_levels)
     diag = derive_residual_signs(seed, vec_counter, d)
     v = apply_hd(r, diag)

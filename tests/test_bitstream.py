@@ -212,6 +212,13 @@ def test_encode_rejects_field_overflow():
     # a float scale index raised a bare struct.error
     with pytest.raises(FieldOverflowError):
         encode(_code(scale_idx=1.0))
+    # the header's u32 dim, judged before the length-1 arrays
+    base = VectorCode(np.zeros(1, dtype=np.uint16), 1.0, 0, 0)
+    resid = ResidualCode(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int8))
+    code = TwoStageCode(base, resid, QuantConfig(2**32, 1))
+    for call in (encode, rate_report):
+        with pytest.raises(FieldOverflowError, match="dim 4294967296 does not fit u32"):
+            call(code)
 
 
 def test_every_corruption_is_a_typed_error():

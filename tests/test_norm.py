@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hadaquant import bitstream
+from hadaquant import bitstream, vquant
 from hadaquant.cli import decode_payload, encode_vector, main
 from hadaquant.codebook import BIASED, MODES
-from hadaquant.residual import ResidualCode
+from hadaquant.residual import MAX_LEVEL, MAX_SCALE_IDX, ResidualCode
 from hadaquant.twostage import TwoStageCode, dequantize_two_stage, quantize_two_stage
-from hadaquant.vquant import QuantConfig, scaled_norm, vector_dequant, vector_quant
+from hadaquant.vquant import QuantConfig, VectorCode, scaled_norm, vector_dequant, vector_quant
 
 
 def test_scaled_norm_equals_linalg_norm_on_ordinary_inputs():
@@ -75,6 +75,25 @@ def test_decoders_reject_a_decode_beyond_float64():
         dequantize_two_stage(two_stage)
     with pytest.raises(ValueError, match="float64 range"):
         decode_payload(bitstream.encode(two_stage))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_worst_codes_decode_finite_at_the_check_norm(monkeypatch, mode):
+    # Up to vquant._DECODE_CHECK_NORM the decoders scale without a range
+    # check, so the largest well-formed decodes must stay finite there: d=1,
+    # both end buckets, the top residual scale index and level, and both
+    # ends of the dither's range [0, 1 - 2**-53].
+    norm = vquant._DECODE_CHECK_NORM
+    residual = ResidualCode(MAX_SCALE_IDX, np.array([MAX_LEVEL]), np.ones(1, dtype=np.int8))
+    for dither in (0.0, 1.0 - 2.0**-53):
+        monkeypatch.setattr(vquant, "derive_dither", lambda seed, vec_counter, u=dither: u)
+        for bits in range(1, 17):
+            cfg = QuantConfig(1, bits, mode)
+            for index in (0, cfg.num_levels - 1):
+                base = VectorCode(np.array([index], dtype=np.uint16), norm, 0, 0)
+                two_stage = TwoStageCode(base, residual, cfg)
+                for decoded in (vector_dequant(base, cfg), dequantize_two_stage(two_stage)):
+                    assert np.isfinite(decoded).all(), (dither, bits, index)
 
 
 def test_dequantize_command_rejects_a_payload_decoding_beyond_float64(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""tools/record_bench.py's per-metric summary, on synthetic runs; no process starts."""
+"""tools/record_bench.py's commands and per-metric summary, on synthetic runs; no process starts."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,8 +62,22 @@ def test_pairs_alternate_which_side_runs_first():
     assert firsts == ["parent", "head"] * (record_bench.PAIRS // 2)
 
 
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def test_commands_of_a_pair_run_every_workload_of_the_benchmark():
+    commands = record_bench.bench_commands(BENCHMARK, 1503)
+    assert list(commands) == [w["name"] for w in BENCHMARK["workloads"]]
+    program = [sys.executable, *BENCHMARK["command"][1:]]
+    for workload, cmd in commands.items():
+        flags = dict(zip(cmd[len(program)::2], cmd[len(program) + 1::2]))
+        assert cmd[:len(program)] == program
+        assert flags == {"--workload": workload, "--seed": "1503",
+                         "--seconds": str(BENCHMARK["run_seconds"]), "--trace": "0"}
+
+
 def test_summary_reads_every_end_to_end_metric_of_the_benchmark():
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = BENCHMARK["end_to_end"]
     run = {"metrics": {m["name"]: {"value": 1.0} for m in metrics}}
     summary = record_bench.summarize([{"parent": run, "head": run}] * 3, metrics)
     assert list(summary) == [m["name"] for m in metrics]

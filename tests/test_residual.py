@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hadaquant import bench, residual
+from hadaquant import bench, bitstream, residual
 from hadaquant.residual import (
     LEVEL_SUM_COEFF,
     MAX_LEVEL,
@@ -15,22 +15,26 @@ from hadaquant.residual import (
     residual_dequant,
     residual_quant,
     scalar_dequant,
-    scalar_quant,
 )
 from hadaquant.transform import apply_hd, apply_hd_inverse, stream_rng
-from hadaquant.vquant import QuantConfig
+from hadaquant.twostage import TwoStageCode
+from hadaquant.vquant import QuantConfig, VectorCode
+
+
+def _scale_idx(s, d, bits):
+    # The scale index residual_quant picks for r = s*sqrt(d)*e1, whose
+    # norm/sqrt(d) is exactly s when sqrt(d) is a power of two.
+    r = np.zeros(d)
+    r[0] = s * math.sqrt(d)
+    return residual_quant(r, QuantConfig(d, bits), seed=0, vec_counter=0).scale_idx
 
 
 def test_scale_quant_examples():
     # d=4, num_levels=4 -> floor 1/16
     assert min_scale(4, 4) == 1.0 / 16.0
-    assert scalar_quant(0.01, 4, 4) == 0
-    assert scalar_quant(0.3, 4, 4) == 4  # ceil(log2 4.8) = 3
-    assert scalar_quant(1.0 / 16.0, 4, 4) == 1  # exactly the floor
-    with pytest.raises(ValueError):
-        scalar_quant(-0.1, 4, 4)
-    with pytest.raises(ValueError):
-        scalar_quant(math.nan, 4, 4)
+    assert _scale_idx(0.01, 4, 2) == 0
+    assert _scale_idx(0.3, 4, 2) == 4  # ceil(log2 4.8) = 3
+    assert _scale_idx(1.0 / 16.0, 4, 2) == 1  # exactly the floor
 
 
 def test_scale_dequant_examples():
@@ -44,11 +48,11 @@ def test_scale_dequant_examples():
 
 
 def test_scale_roundtrip_property():
-    d, size = 64, 16
+    d, bits, size = 64, 4, 16
     tau = min_scale(d, size)
     rng = np.random.default_rng(51)
     for s in tau + (2.0 / math.sqrt(d) - tau) * rng.random(1000):
-        sigma = scalar_dequant(scalar_quant(s, d, size), d, size)
+        sigma = scalar_dequant(_scale_idx(s, d, bits), d, size)
         assert s <= sigma < 2.0 * s
 
 
@@ -191,7 +195,7 @@ def test_level_sum_rate_bound():
             # transformed coordinate but the last sits just above the scale the
             # norm quantizes to, so each takes level 1 and the sum is 2d - 1.
             num_levels = 1 << bits
-            sigma = scalar_dequant(scalar_quant(0.5 / math.sqrt(d), d, num_levels), d, num_levels)
+            sigma = scalar_dequant(_scale_idx(0.5 / math.sqrt(d), d, bits), d, num_levels)
             v = np.zeros(d)
             v[:-1] = sigma * (1.0 + 0.4 / d)
             v[1:-1:2] *= -1.0
@@ -264,6 +268,24 @@ def test_rejects_malformed_code():
     # a float scale index passed the check and then raised TypeError
     with pytest.raises(ValueError, match="scale index"):
         residual_dequant(ResidualCode(4.0, code.levels, code.signs), QuantConfig(4, 2), 0, 0)
+
+
+@pytest.mark.parametrize("levels, signs", [
+    (np.full(4, 7), np.zeros(4, dtype=np.int8)),
+    (np.zeros(4, dtype=np.int64), np.array([1, -1, 5, 0], dtype=np.int8)),
+    (np.full(4, 2.5), np.zeros(4, dtype=np.int8)),
+], ids=["levels-7", "signs", "float-levels"])
+def test_zero_residual_has_one_form(levels, signs):
+    # At scale index 0 the check once passed any levels and signs, and encode
+    # wrote the zero residual's payload for them.
+    cfg, code = QuantConfig(4, 2), ResidualCode(0, levels, signs)
+    with pytest.raises(ValueError, match="scale index 0"):
+        residual.check_code(code, cfg)
+    with pytest.raises(ValueError, match="scale index 0"):
+        residual_dequant(code, cfg, 0, 0)
+    base = VectorCode(np.zeros(4, dtype=np.uint16), 1.0, 0, 0)
+    with pytest.raises(bitstream.FieldOverflowError, match="scale index 0"):
+        bitstream.encode(TwoStageCode(base, code, cfg))
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])

@@ -3,21 +3,23 @@
     python3 tools/record_bench.py 15 <parent-rev> <head-rev>
 
 Each rev is run from a fresh ``git clone`` of this repository in a temporary
-directory (set TMPDIR to choose where). Each workload runs PAIRS pairs: pair i
-runs ``python3 hqbench/run.py --workload <w> --seed <100*pr + i> --seconds 55
---trace 0`` on both revs, the parent first in even pairs and the head first in
-odd ones, so that drift over time does not land on one side only. The last
-line, one JSON object, of every run is kept, and the ``env:`` line of each
-rev's first run. For each workload and end-to-end metric of BENCHMARK.json the
-file then records the parent's median and quartiles, the head's median, the
-pairs the head wins by the metric's ``better`` (a tie counts for neither side),
-and whether the head's median is worse than the parent's by more than the
-metric's relative ``bound``. Tier-1 then runs once per rev, and its summary
-line and the ``--durations=10`` table that pyproject.toml asks for are kept.
-Both the benchmark and tier-1 run under the interpreter that runs this script.
-The file is written to BENCH_<pr>.json at the repository root. Standard library
-only; it imports nothing from the benchmark or the package. Ten pairs of two
-55-s workloads take about 40 minutes on a 2-CPU host.
+directory (set TMPDIR to choose where). BENCHMARK.json defines the benchmark:
+its ``command``, ``workloads``, ``run_seconds`` and ``end_to_end`` metrics. Each
+workload runs PAIRS pairs: pair i runs ``<command> --workload <w> --seed
+<100*pr + i> --seconds <run_seconds> --trace 0`` on both revs, the parent first
+in even pairs and the head first in odd ones, so that drift over time does not
+land on one side only. The last line, one JSON object, of every run is kept,
+and the ``env:`` line of each rev's first run. For each workload and
+end-to-end metric the file then records the parent's median and quartiles, the
+head's median, the pairs the head wins by the metric's ``better`` (a tie counts
+for neither side), and whether the head's median is worse than the parent's by
+more than the metric's relative ``bound``. Tier-1 then runs once per rev, and
+its summary line and the ``--durations=10`` table that pyproject.toml asks for
+are kept. Both the benchmark and tier-1 run under the interpreter that runs
+this script, which takes the place of the command's ``python3``. The file is
+written to BENCH_<pr>.json at the repository root. Standard library only; it
+imports nothing from the benchmark or the package. Ten pairs of two 55-s
+workloads take about 40 minutes on a 2-CPU host.
 """
 
 import json
@@ -30,10 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("ingest-large", "fine-grid")
 PAIRS = 10
-SECONDS = 55
-BENCH = "hqbench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace 0"
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 DURATION = re.compile(r"^([0-9.]+)s (setup|call|teardown)\s+(.+)$")  # node ids may hold spaces
 
@@ -44,8 +43,18 @@ def clone(rev: str, into: Path) -> Path:
     return into
 
 
-def run_bench(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
-    cmd = [sys.executable, *BENCH.format(workload=workload, seed=seed, seconds=SECONDS).split()]
+def bench_commands(benchmark: dict, seed: int | str) -> dict[str, list[str]]:
+    """The command of each workload of benchmark, BENCHMARK.json's object, at seed.
+
+    A str seed is a placeholder, for the commands the record describes.
+    """
+    program = [sys.executable, *benchmark["command"][1:]]
+    return {w["name"]: [*program, "--workload", w["name"], "--seed", str(seed),
+                        "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
+            for w in benchmark["workloads"]}
+
+
+def run_bench(checkout: Path, cmd: list[str]) -> tuple[dict, dict]:
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout
     lines = out.splitlines()
     env = next(json.loads(line[len("env: "):]) for line in lines if line.startswith("env: "))
@@ -111,16 +120,17 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     pr, revs = int(argv[0]), {"parent": argv[1], "head": argv[2]}
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    env, runs, tier1 = {}, {workload: [] for workload in WORKLOADS}, {}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    env, runs, tier1 = {}, {workload: [] for workload in bench_commands(benchmark, 0)}, {}
     with tempfile.TemporaryDirectory(prefix="record_bench-") as tmp:
         checkouts = {side: clone(rev, Path(tmp) / side) for side, rev in revs.items()}
-        for workload in WORKLOADS:
+        for workload in runs:
             for i in range(PAIRS):
                 seed, pair = 100 * pr + i, {}
+                cmd = bench_commands(benchmark, seed)[workload]
                 for side in pair_order(i):
                     print(f"{workload} pair {i} {side} ...", file=sys.stderr, flush=True)
-                    side_env, pair[side] = run_bench(checkouts[side], workload, seed)
+                    side_env, pair[side] = run_bench(checkouts[side], cmd)
                     env.setdefault(side, side_env)
                 runs[workload].append({"seed": seed, "first": pair_order(i)[0], **pair})
         for side, checkout in checkouts.items():
@@ -131,15 +141,15 @@ def main(argv: list[str]) -> int:
                 f"{PAIRS} pairs per workload, their per-metric summary, and tier-1 pytest "
                 "durations, at the parent commit and at the change",
         "commands": {
-            "bench": "python " + BENCH.format(workload="<" + "|".join(WORKLOADS) + ">",
-                                              seed=f"<{100 * pr}..{100 * pr + PAIRS - 1}>",
-                                              seconds=SECONDS),
+            "bench": [" ".join(["python", *cmd[1:]])
+                      for cmd in bench_commands(benchmark, f"<{100 * pr}+i>").values()],
             "tier1": f"PYTHONPATH=src python {' '.join(TIER1)}  (pyproject adds --durations=10)",
         },
         "machine": {"cpu_model": cpu_model(), "note": f"{os.cpu_count()} CPUs"},
         "revs": revs,
         "env": env,
-        "summary": {workload: summarize(pairs, end_to_end) for workload, pairs in runs.items()},
+        "summary": {workload: summarize(pairs, benchmark["end_to_end"])
+                    for workload, pairs in runs.items()},
         "runs": runs,
         "tier1": tier1,
     }
