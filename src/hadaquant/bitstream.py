@@ -100,8 +100,10 @@ def encode(code: TwoStageCode) -> bytes:
         base.norm,
     )
     d, b = cfg.padded_dim, cfg.bits
-    idx = np.asarray(base.indices, dtype=np.uint32)
-    chunks = [((idx[:, None] >> np.arange(b)) & 1).astype(np.uint8).ravel()]
+    # Field j is the low b bits of index j, lowest first: the first b of the
+    # 16 bits that unpacking its little-endian u16 bytes gives.
+    idx = np.ascontiguousarray(base.indices, dtype="<u2")
+    chunks = [np.unpackbits(idx.view(np.uint8), bitorder="little").reshape(d, 16)[:, :b].ravel()]
     if resid.scale_idx > 0:
         levels = np.asarray(resid.levels, dtype=np.int64)
         unary = np.ones(int(levels.sum()) + d, dtype=np.uint8)
@@ -138,7 +140,11 @@ def decode(data: bytes) -> TwoStageCode:
     )
     if bits.size < d * b:
         raise TruncatedPayloadError("body ends inside the index block")
-    indices = (bits[: d * b].reshape(d, b).astype(np.uint32) << np.arange(b)).sum(axis=1)
+    # The inverse of encode's unpacking: each field padded to 16 bits with
+    # zeros, then packed back into little-endian u16 bytes.
+    block = np.zeros((d, 16), dtype=np.uint8)
+    block[:, :b] = bits[: d * b].reshape(d, b)
+    indices = np.packbits(block, bitorder="little").view("<u2")
     rest = bits[d * b :]
     if scale_idx > 0:
         # The one-runs ended by the first d zeros are the levels. If fewer

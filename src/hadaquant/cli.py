@@ -79,9 +79,16 @@ def read_vectors(path, text: bool = False) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8", offset=_VEC_HEADER.size).reshape(count, dim).copy()
 
 
-def encode_vector(x: np.ndarray, config: QuantConfig, seed: int, vec_counter: int) -> bytes:
-    """Two-stage encode of a finite vector into one .hq payload."""
-    return bitstream.encode(quantize_two_stage(x, config, seed, vec_counter))
+def encode_vector(x: np.ndarray, config: QuantConfig, seed: int, vec_counter):
+    """Two-stage encode of a finite vector into one .hq payload.
+
+    An (n, dim) array of rows with a sequence of n counters gives the list
+    of their n payloads, as quantize_two_stage gives codes.
+    """
+    codes = quantize_two_stage(x, config, seed, vec_counter)
+    if isinstance(codes, list):
+        return [bitstream.encode(code) for code in codes]
+    return bitstream.encode(codes)
 
 
 def decode_payload(data: bytes) -> np.ndarray:
@@ -96,8 +103,9 @@ def cmd_quantize(args) -> int:
         raise ValueError(f"{out_dir}: already holds .hq payloads")
     vectors = read_vectors(args.input, text=args.text)
     config = QuantConfig(dim=vectors.shape[1], bits=args.bits, mode=args.mode)
-    # Every row is encoded, and so checked, before the first file is written.
-    payloads = [encode_vector(x, config, args.seed, c) for c, x in enumerate(vectors)]
+    # Every row is encoded, and so checked, before the first file is written;
+    # an error names its row.
+    payloads = encode_vector(vectors, config, args.seed, range(len(vectors)))
     out_dir.mkdir(parents=True, exist_ok=True)
     for counter, payload in enumerate(payloads):
         (out_dir / f"vec_{counter:05d}.hq").write_bytes(payload)

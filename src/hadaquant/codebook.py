@@ -237,11 +237,14 @@ def quantize_scalar(t, mode: str, num_levels: int, dither):
         # The last grid point <= p, found without building the grid: the
         # arithmetic guess is off by at most one bucket, so it is checked
         # against its two grid points, computed as the grid computes them.
-        idx = np.clip(np.floor(num_levels * p - dither).astype(np.int64), 0, num_levels - 1)
+        idx = np.floor(num_levels * p - dither).astype(np.int64)
+        # clipped into [0, num_levels): two ufunc calls cost less than
+        # np.clip's Python-level dispatch, here and below
+        idx = np.minimum(np.maximum(idx, 0), num_levels - 1)
         idx -= _biased_grid_points(idx, num_levels, dither) > p
         upper = np.minimum(idx + 1, num_levels - 1)
         idx += (upper > idx) & (_biased_grid_points(upper, num_levels, dither) <= p)
     else:
         idx = np.floor((num_levels - 1) * p - dither).astype(np.int64) + 1
-        idx = np.clip(idx, 0, num_levels - 1)
+        idx = np.minimum(np.maximum(idx, 0), num_levels - 1)
     return int(idx) if idx.ndim == 0 else idx

@@ -23,7 +23,7 @@ from .transform import (
     sample_signs,
     sample_uniforms,
 )
-from .vquant import QuantConfig
+from .vquant import QuantConfig, _encode_rows
 
 MAX_SCALE_IDX = 255  # one header byte; unreachable for any desk-scale (d, bits)
 MAX_LEVEL = 64
@@ -72,9 +72,9 @@ class ResidualCode:
 def check_code(code: ResidualCode, config: QuantConfig) -> None:
     """Raise ValueError unless residual_quant can make code under config.
 
-    Such a code has a scale index in [0, MAX_SCALE_IDX] and levels and signs
-    of shape (config.padded_dim,): at a nonzero scale index, integer levels in
-    [0, MAX_LEVEL] and signs -1 or +1; at 0, integer zero levels and zero signs.
+    Such a code has a scale index in [0, MAX_SCALE_IDX] and integer levels and
+    signs of shape (config.padded_dim,): at a nonzero scale index, levels in
+    [0, MAX_LEVEL] and signs -1 or +1; at 0, zero levels and zero signs.
     """
     check_int("scale index", code.scale_idx, 0, MAX_SCALE_IDX)
     levels, signs, d = np.asarray(code.levels), np.asarray(code.signs), config.padded_dim
@@ -83,49 +83,75 @@ def check_code(code: ResidualCode, config: QuantConfig) -> None:
     top, sign = (MAX_LEVEL, 1) if code.scale_idx else (0, 0)
     if levels.dtype.kind not in "iu" or levels.min() < 0 or levels.max() > top:
         raise ValueError(f"levels must be integers in [0, {top}] at scale index {code.scale_idx}")
-    if not np.all(np.abs(signs) == sign):
-        raise ValueError(f"signs must have magnitude {sign} at scale index {code.scale_idx}")
+    if signs.dtype.kind not in "iu" or not np.all(np.abs(signs) == sign):
+        raise ValueError(
+            f"signs must be integers of magnitude {sign} at scale index {code.scale_idx}"
+        )
 
 
 def derive_residual_signs(seed: int, vec_counter: int, padded_dim: int):
     return sample_signs(seed, (vec_counter, STREAM_RESIDUAL_SIGNS), padded_dim)
 
 
-def _doubling_levels(v_abs: np.ndarray, sigma: float) -> np.ndarray:
+def _doubling_levels(v_abs: np.ndarray, sigma) -> np.ndarray:
     # Smallest level >= 0 with v_abs <= sigma * 2**level. sigma is a power of
-    # two, so v_abs / sigma is exact and so is its ceil(log2).
+    # two (a column of them for rows), so v_abs / sigma is exact and so is
+    # its ceil(log2).
     lev = np.maximum(_ceil_log2(v_abs / sigma), 0).astype(np.int64)
     if lev.max(initial=0) > MAX_LEVEL:
         raise RuntimeError(f"doubling level exceeds cap {MAX_LEVEL}")
     return lev
 
 
-def residual_quant(r, config: QuantConfig, seed: int, vec_counter: int) -> ResidualCode:
+def residual_quant(r, config: QuantConfig, seed: int, vec_counter):
     """Encode a real, finite residual of shape (config.padded_dim,) with ||r|| <= 2.
 
+    r may also be (n, padded_dim) rows with a sequence of n counters, which
+    returns the list of their codes, each equal to the code of its own call.
     Sign bits come from a dedicated stream keyed by (seed, vec_counter) so
     encoding is reproducible yet independent of the sign diagonal.
     """
-    seed, vec_counter = check_token("seed", seed), check_token("vec_counter", vec_counter)
-    d = config.padded_dim
-    r = check_vector("residual", r, d)
+    return _encode_rows(r, config, seed, vec_counter, _check_residual, _residual_chunk)
+
+
+def _check_residual(r, config: QuantConfig):
+    # check_row of residual_quant.
+    r = check_vector("residual", r, config.padded_dim)
     norm = float(np.linalg.norm(r))
     if norm > 2.0 * (1.0 + 1e-9):
         raise ValueError(f"residual norm {norm} exceeds the unit-ball bound of 2")
-    s, tau = norm / math.sqrt(d), min_scale(d, config.num_levels)
-    if s < tau:
-        return ResidualCode(0, np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8))
-    # s / tau <= 2 * sqrt(d) * num_levels, so the index stays far below MAX_SCALE_IDX.
-    scale_idx = int(_ceil_log2(s / tau)) + 1
-    sigma = scalar_dequant(scale_idx, d, config.num_levels)
-    diag = derive_residual_signs(seed, vec_counter, d)
-    v = apply_hd(r, diag)
+    return r, norm
+
+
+def _residual_chunk(items, config: QuantConfig, seed: int) -> list:
+    # The codes of checked (r, norm, counter) items; the coordinates of the
+    # rows with a nonzero scale index are coded together.
+    d, num_levels = config.padded_dim, config.num_levels
+    tau = min_scale(d, num_levels)
+    codes, live, scales = [None] * len(items), [], []
+    for i, (_, norm, _) in enumerate(items):
+        s = norm / math.sqrt(d)
+        if s < tau:
+            codes[i] = ResidualCode(0, np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8))
+        else:
+            # s / tau <= 2 * sqrt(d) * num_levels: far below MAX_SCALE_IDX.
+            live.append(i)
+            scales.append(int(_ceil_log2(s / tau)) + 1)
+    if not live:
+        return codes
+    counters = [items[i][2] for i in live]
+    diag = np.array([derive_residual_signs(seed, counter, d) for counter in counters])
+    v = apply_hd(np.array([items[i][0] for i in live]), diag)
+    sigma = np.array([scalar_dequant(k, d, num_levels) for k in scales])[:, None]
     levels = _doubling_levels(np.abs(v), sigma)
     radius = np.ldexp(sigma, levels)
     p_plus = 0.5 * (1.0 + v / radius)
-    uniforms = sample_uniforms(seed, (vec_counter, STREAM_SIGN_BITS), d)
+    uniforms = np.array([sample_uniforms(seed, (counter, STREAM_SIGN_BITS), d)
+                         for counter in counters])
     signs = np.where(uniforms < p_plus, 1, -1).astype(np.int8)
-    return ResidualCode(scale_idx, levels, signs)
+    for row, (i, scale_idx) in enumerate(zip(live, scales)):
+        codes[i] = ResidualCode(scale_idx, levels[row], signs[row])
+    return codes
 
 
 def residual_dequant(

@@ -68,7 +68,7 @@ def check_vector(name: str, v, length: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (length,):
         raise ValueError(f"expected {name} of length {length}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has NaN or infinite coordinates")
     return v
 
@@ -124,7 +124,7 @@ def sample_signs(seed: int, stream_id, d: int) -> np.ndarray:
     if not is_power_of_two(d):
         raise ValueError(f"dimension must be a power of two, got {d}")
     raw = stream_rng(seed, stream_id).bit_generator.random_raw((d + 1) // 2)
-    halves = raw.astype("<u8").view("<i4")[:d]
+    halves = raw.astype("<u8", copy=False).view("<i4")[:d]
     return np.where(halves < 0, 1.0, -1.0)
 
 
@@ -140,11 +140,17 @@ def _fwht(v: np.ndarray) -> np.ndarray:
     # one d**-0.5 scale pass. Each stage reads the adjacent pairs of its
     # source and writes their sums to the low half and their differences to
     # the high half of one of two buffers, in turn; v itself is only read.
+    # The stages run over the flat buffer of all n rows at once: a pair never
+    # straddles two rows, and each row meets the pairs of its own 1-D sweep,
+    # in the same order, so every row has that sweep's bits. After the last
+    # stage the flat layout is (d, n), coordinate c of row r at c * n + r,
+    # and the scale pass reads it back into rows.
     d = v.shape[-1]
-    half = d // 2
-    arrays = (v, np.empty_like(v), np.empty_like(v))
-    pairs = [(x[..., 0::2], x[..., 1::2]) for x in arrays]
-    halves = [(x[..., :half], x[..., half:]) for x in arrays]
+    flat = v.reshape(-1)
+    half = flat.size // 2
+    arrays = (flat, np.empty_like(flat), np.empty_like(flat))
+    pairs = [(x[0::2], x[1::2]) for x in arrays]
+    halves = [(x[:half], x[half:]) for x in arrays]
     src = 0
     for stage in range(d.bit_length() - 1):
         dst = 1 + stage % 2
@@ -152,7 +158,9 @@ def _fwht(v: np.ndarray) -> np.ndarray:
         np.add(a, b, out=halves[dst][0])
         np.subtract(a, b, out=halves[dst][1])
         src = dst
-    return np.multiply(arrays[src], d ** -0.5, out=arrays[2 if src == 1 else 1])
+    out = arrays[2 if src == 1 else 1].reshape(v.shape)
+    by_row = arrays[src].reshape(d, -1).T.reshape(v.shape)
+    return np.multiply(by_row, d ** -0.5, out=out)
 
 
 def fwht_normalized(v) -> np.ndarray:
@@ -170,26 +178,30 @@ def fwht_normalized(v) -> np.ndarray:
 
 
 def _check_signs(signs, v: np.ndarray) -> np.ndarray:
-    # The sign diagonal as float64: a +-1 vector of power-of-two length
-    # matching v.
+    # The sign diagonals as float64: a +-1 vector of power-of-two length, or
+    # an (n, d) stack of them, of v's shape.
     signs = np.asarray(signs, dtype=np.float64)
-    if signs.ndim != 1 or not is_power_of_two(signs.shape[0]):
+    if signs.ndim not in (1, 2) or not is_power_of_two(signs.shape[-1]):
         raise ValueError(f"sign diagonal length must be a power of two, got shape {signs.shape}")
     if v.shape != signs.shape:
         raise ValueError(f"length mismatch: vector {v.shape} vs diagonal {signs.shape}")
-    if not np.all(np.abs(signs) == 1.0):
+    if not (np.abs(signs) == 1.0).all():
         raise ValueError("sign diagonal entries must be exactly -1 or +1")
     return signs
 
 
 def apply_hd(x, signs) -> np.ndarray:
-    """Randomly flip signs then mix: returns H (D x) for the +-1 diagonal D = signs."""
+    """Randomly flip signs then mix: returns H (D x) for the +-1 diagonal D = signs.
+
+    x and signs are both of shape (d,), or both (n, d): row i is then
+    transformed under diagonal i, with the bits of the 1-D call on that row.
+    """
     x = np.asarray(x, dtype=np.float64)
     return _fwht(x * _check_signs(signs, x))
 
 
 def apply_hd_inverse(y, signs) -> np.ndarray:
-    """Exact inverse of apply_hd: returns D (H^T y); H^T = H here."""
+    """Exact inverse of apply_hd: returns D (H^T y); H^T = H here. Takes rows as apply_hd does."""
     y = np.asarray(y, dtype=np.float64)
     signs = _check_signs(signs, y)
     out = _fwht(y)

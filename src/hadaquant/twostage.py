@@ -16,11 +16,12 @@ from . import residual, vquant
 from .residual import ResidualCode, residual_dequant, residual_quant
 from .transform import check_vector
 from .vquant import (
-    _DECODE_CHECK_NORM,
     QuantConfig,
     VectorCode,
+    _check_input,
     _decode_padded_unit,
-    _quantize,
+    _encode_rows,
+    _quantize_chunk,
     _scale_decoded,
 )
 
@@ -46,23 +47,31 @@ def project_unit_ball(v) -> np.ndarray:
     return v / max(1.0, float(np.linalg.norm(v)))
 
 
-def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter: int) -> TwoStageCode:
+def quantize_two_stage(x, config: QuantConfig, seed: int, vec_counter):
     """Encode any finite vector: its norm once, its direction in two stages.
 
+    x is one vector with an int vec_counter, which returns its TwoStageCode,
+    or an (n, dim) array of rows with a sequence of n counters, which returns
+    the list of their codes; each row's code equals the code of its own call.
     Both stages key their randomness off (seed, vec_counter), which the base
     code carries for the residual stage too. The base stage's sign diagonal
     and dither are derived once and reused to decode it here. Raises ValueError
     for a complex or non-finite x, tokens outside [0, 2**64) or an overflowing decode.
     """
-    base, target, draws = _quantize(x, config, seed, vec_counter)
-    if draws is not None:
-        # The decoder recomputes the identical projected point, so the residual
-        # is defined against exactly what the decoder will see.
-        target -= project_unit_ball(_decode_padded_unit(base, config, draws))
-    code = TwoStageCode(base, residual_quant(target, config, seed, vec_counter), config)
-    if base.norm > _DECODE_CHECK_NORM:
-        dequantize_two_stage(code)  # raises if the decode overflows
-    return code
+    return _encode_rows(x, config, seed, vec_counter, _check_input, _two_stage_chunk,
+                        lambda code, config: dequantize_two_stage(code))
+
+
+def _two_stage_chunk(items, config: QuantConfig, seed: int) -> list:
+    bases, live, units, draws = _quantize_chunk(items, config, seed)
+    target = np.zeros((len(items), config.padded_dim))
+    if live:
+        # The decoder recomputes the identical projected points, so each
+        # residual is defined against exactly what the decoder will see.
+        decoded = _decode_padded_unit([bases[i] for i in live], config, draws)
+        target[live] = units - np.array([project_unit_ball(row) for row in decoded])
+    residuals = residual_quant(target, config, seed, [counter for _, _, counter in items])
+    return [TwoStageCode(base, resid, config) for base, resid in zip(bases, residuals)]
 
 
 def dequantize_two_stage(code: TwoStageCode) -> np.ndarray:
@@ -77,7 +86,7 @@ def dequantize_two_stage(code: TwoStageCode) -> np.ndarray:
     rhat = residual_dequant(code.residual, config, base.seed, base.vec_counter)
     if base.norm == 0.0:
         return np.zeros(config.dim)
-    approx = project_unit_ball(_decode_padded_unit(base, config))
+    approx = project_unit_ball(_decode_padded_unit([base], config)[0])
     return _scale_decoded(base.norm, (approx + rhat)[: config.dim])
 
 

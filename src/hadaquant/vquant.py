@@ -7,6 +7,10 @@ so the decoder needs only those two tokens. Each encode derives that
 randomness once: bucketing reads only the dither, and the two-stage codec
 reuses the same draws to decode its base stage. A reconstruction table is
 built only where a decode reads it.
+
+The encoders are batch-first: n rows with n counters are encoded a chunk of
+rows at a time, and one vector is a batch of one, so every code comes from
+the same path and a row's code does not depend on the rows beside it.
 """
 
 import math
@@ -95,7 +99,7 @@ def scaled_norm(x: np.ndarray) -> float:
     and stays finite and nonzero where it would. A norm beyond the float64
     range cannot be stored and raises ValueError.
     """
-    peak = float(np.max(np.abs(x), initial=0.0))
+    peak = float(np.abs(x).max(initial=0.0))
     if peak == 0.0:
         return 0.0
     k = math.frexp(peak)[1]
@@ -123,52 +127,127 @@ def _scale_decoded(norm: float, direction: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quantize(x, config: QuantConfig, seed: int, vec_counter: int):
-    # vector_quant without its decode check. Also returns the padded unit
-    # direction it quantized and the (signs, dither) it derived, None for the
-    # zero vector, which the two-stage codec reuses to form its residual and
-    # decode its base stage. That codec runs its own decoder instead, as it
-    # never scales the base alone by the norm.
-    seed, vec_counter = check_token("seed", seed), check_token("vec_counter", vec_counter)
+# A batch is encoded a chunk of rows at a time, so that a chunk's arrays stay
+# in a core's L2 cache: its (rows, padded_dim) float64 arrays and the
+# (rows, num_levels) codebook stack the two-stage encoder builds hold at most
+# this many entries (256 KiB) each. That is 8 rows at d = 4096 and one row at
+# 2**16 levels. On a 2-MiB-L2 Xeon, a 30-row (4096, 4) two-stage encode took
+# 790 us per row in 8-row chunks, 760-790 in 4- to 16-row ones, 980 in one
+# 30-row chunk and 960 row by row.
+_CHUNK_ENTRIES = 2**15
+
+
+def chunk_rows(config: QuantConfig) -> int:
+    """Rows per chunk of a batch encode under config."""
+    return max(1, _CHUNK_ENTRIES // max(config.padded_dim, config.num_levels))
+
+
+def _encode_rows(x, config: QuantConfig, seed, vec_counter, check_row, encode_chunk, decode=None):
+    """The batch driver of every encoder; returns one code, or a list of n codes.
+
+    x is one vector with an int vec_counter, a batch of one, or an (n, length)
+    array of rows with a length-n sequence of counters. Each row is checked
+    first: its counter as an integer in [0, 2**64), then the row by
+    check_row(row, config), which returns it with its norm. encode_chunk(items,
+    config, seed) then encodes the (row, norm, counter) items, chunk_rows(config)
+    at a time, one code per item. decode(code, config) runs for each code whose
+    norm exceeds _DECODE_CHECK_NORM, and raises where that decode overflows.
+    In a batch, a ValueError raised for a row names it: "row 1: ...".
+    """
+    seed = check_token("seed", seed)
+    batch = not isinstance(vec_counter, int) and np.ndim(vec_counter) == 1
+    rows, counters = (x, vec_counter) if batch else ([x], [vec_counter])
+    if batch and (np.ndim(x) != 2 or len(rows) != len(counters)):
+        raise ValueError(f"a batch is n rows with n counters, got shape {np.shape(x)} "
+                         f"with {len(counters)} counters")
+    items = []
+    for i, (row, counter) in enumerate(zip(rows, counters)):
+        try:
+            counter = check_token("vec_counter", counter)
+            items.append((*check_row(row, config), counter))
+        except ValueError as exc:
+            if not batch:
+                raise
+            raise ValueError(f"row {i}: {exc}") from exc
+    step = chunk_rows(config)
+    codes = []
+    for start in range(0, len(items), step):
+        codes += encode_chunk(items[start : start + step], config, seed)
+    for i, ((_, norm, _), code) in enumerate(zip(items, codes)):
+        if norm > _DECODE_CHECK_NORM:
+            try:
+                decode(code, config)
+            except ValueError as exc:
+                if not batch:
+                    raise
+                raise ValueError(f"row {i}: {exc}") from exc
+    return codes if batch else codes[0]
+
+
+def _check_input(x, config: QuantConfig):
+    # check_row of the encoders of input vectors.
     x = check_vector("input vector", x, config.dim)
-    norm = scaled_norm(x)
-    unit = np.zeros(config.padded_dim)
-    if norm == 0.0:
-        indices = np.zeros(config.padded_dim, dtype=np.uint16)
-        return VectorCode(indices, 0.0, seed, vec_counter), unit, None
-    signs = derive_base_signs(seed, vec_counter, config.padded_dim)
-    dither = derive_dither(seed, vec_counter)
-    unit[: config.dim] = x / norm
-    z = math.sqrt(config.padded_dim) * apply_hd(unit, signs)
-    indices = quantize_scalar(z, config.mode, config.num_levels, dither).astype(np.uint16)
-    return VectorCode(indices, norm, seed, vec_counter), unit, (signs, dither)
+    return x, scaled_norm(x)
 
 
-def vector_quant(x, config: QuantConfig, seed: int, vec_counter: int) -> VectorCode:
+def _quantize_chunk(items, config: QuantConfig, seed: int):
+    # The base codes of checked (row, norm, counter) items, without their
+    # decode check. Also returns, for the nonzero rows, their positions,
+    # padded unit directions and (signs, dithers), as rows, which the
+    # two-stage codec reuses to form its residuals and decode its base
+    # stage; a zero row derives no randomness.
+    d = config.padded_dim
+    live = [i for i, (_, norm, _) in enumerate(items) if norm > 0.0]
+    units = np.zeros((len(live), d))
+    signs = np.zeros((len(live), d))
+    dithers = np.zeros(len(live))
+    for row, i in enumerate(live):
+        x, norm, counter = items[i]
+        units[row, : config.dim] = x / norm
+        signs[row] = derive_base_signs(seed, counter, d)
+        dithers[row] = derive_dither(seed, counter)
+    z = math.sqrt(d) * apply_hd(units, signs)
+    indices = iter(quantize_scalar(z, config.mode, config.num_levels, dithers[:, None]))
+    codes = [
+        VectorCode(next(indices).astype(np.uint16) if norm > 0.0 else np.zeros(d, dtype=np.uint16),
+                   norm, seed, counter)
+        for _, norm, counter in items
+    ]
+    return codes, live, units, (signs, dithers)
+
+
+def vector_quant(x, config: QuantConfig, seed: int, vec_counter):
     """Encode x: pad, transform with a fresh sign diagonal, bucket every coordinate.
 
-    Any real, finite x is accepted, except one whose decode would overflow float64.
-    seed and vec_counter must be integers in [0, 2**64), the range the streams key on.
+    x is one vector with an int vec_counter, which returns its VectorCode, or
+    an (n, dim) array of rows with a sequence of n counters, which returns
+    the list of their codes; each row's code equals the code of its own call.
+    Any real, finite x is accepted, except one whose decode would overflow
+    float64. seed and the counters must be integers in [0, 2**64), the range
+    the streams key on.
     """
-    code = _quantize(x, config, seed, vec_counter)[0]
-    if code.norm > _DECODE_CHECK_NORM:
-        vector_dequant(code, config)  # raises if the decode overflows
-    return code
+    return _encode_rows(x, config, seed, vec_counter, _check_input,
+                        lambda items, config, seed: _quantize_chunk(items, config, seed)[0],
+                        vector_dequant)
 
 
-def _decode_padded_unit(code: VectorCode, config: QuantConfig, draws=None) -> np.ndarray:
-    # Unit direction of a checked code in padded space (no norm scaling, no
-    # truncation), for both decoders; draws is the code's (signs, dither)
-    # pair, if already known.
+def _decode_padded_unit(codes, config: QuantConfig, draws=None) -> np.ndarray:
+    # Unit directions of checked codes in padded space (no norm scaling, no
+    # truncation), one row per code, for both decoders: a build_codebook
+    # stack over the codes' dithers, gathered row by row. draws is the codes'
+    # (signs, dithers) stack, if already known.
+    d = config.padded_dim
     if draws is None:
         draws = (
-            derive_base_signs(code.seed, code.vec_counter, config.padded_dim),
-            derive_dither(code.seed, code.vec_counter),
+            np.array([derive_base_signs(code.seed, code.vec_counter, d) for code in codes]),
+            np.array([derive_dither(code.seed, code.vec_counter) for code in codes]),
         )
-    signs, dither = draws
-    table = build_codebook(config.mode, config.num_levels, dither)
-    y = table[code.indices] / math.sqrt(config.padded_dim)
-    return apply_hd_inverse(y, signs)
+    signs, dithers = draws
+    tables = build_codebook(config.mode, config.num_levels, dithers)
+    # Row i gathers from table i: flat positions in the stack.
+    flat = np.array([code.indices for code in codes], dtype=np.intp)
+    flat += np.arange(0, tables.size, config.num_levels)[:, None]
+    return apply_hd_inverse(np.take(tables, flat) / math.sqrt(d), signs)
 
 
 def vector_dequant(code: VectorCode, config: QuantConfig) -> np.ndarray:
@@ -179,4 +258,4 @@ def vector_dequant(code: VectorCode, config: QuantConfig) -> np.ndarray:
     check_code(code, config)
     if code.norm == 0.0:
         return np.zeros(config.dim)
-    return _scale_decoded(code.norm, _decode_padded_unit(code, config)[: config.dim])
+    return _scale_decoded(code.norm, _decode_padded_unit([code], config)[0, : config.dim])

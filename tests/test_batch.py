@@ -1,0 +1,134 @@
+"""Batch-first encoders: an (n, dim) batch encodes each row as its own call does."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hadaquant import residual, vquant
+from hadaquant.cli import encode_vector
+from hadaquant.codebook import BIASED, MODES
+from hadaquant.residual import residual_quant
+from hadaquant.twostage import quantize_two_stage
+from hadaquant.vquant import QuantConfig, chunk_rows, vector_quant
+
+
+@st.composite
+def _batches(draw):
+    # rows of varied norms from a seeded generator, some zero and one above
+    # the decoders' range check, under counters that include words >= 2**63
+    n = draw(st.integers(1, 40))
+    cfg = QuantConfig(draw(st.one_of(st.integers(1, 300), st.just(4096))),
+                      draw(st.integers(1, 16)), draw(st.sampled_from(MODES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, cfg.dim)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    x[rng.random(n) < 0.2] = 0.0
+    big = draw(st.integers(0, n - 1))
+    if x[big].any():
+        x[big] *= 2.0 ** draw(st.integers(701, 900)) / np.linalg.norm(x[big])
+    counters = draw(st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1)),
+                             min_size=n, max_size=n))
+    return x, cfg, draw(st.integers(0, 2**64 - 1)), counters
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(batch=_batches())
+def test_batch_payloads_equal_the_per_row_payloads(batch):
+    x, cfg, seed, counters = batch
+    assert encode_vector(x, cfg, seed, counters) == [
+        encode_vector(row, cfg, seed, c) for row, c in zip(x, counters)
+    ]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(batch=_batches())
+def test_batch_base_codes_equal_the_per_row_codes(batch):
+    x, cfg, seed, counters = batch
+    for code, row, c in zip(vector_quant(x, cfg, seed, counters), x, counters):
+        single = vector_quant(row, cfg, seed, c)
+        assert code.indices.tobytes() == single.indices.tobytes()
+        assert (code.norm, code.seed, code.vec_counter) == (single.norm, seed, c)
+
+
+def test_batch_residual_codes_equal_the_per_row_codes():
+    cfg = QuantConfig(100, 5)
+    rng = np.random.default_rng(91)
+    r = rng.standard_normal((11, cfg.padded_dim))
+    r *= rng.uniform(0.0, 2.0, (11, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
+    r[3] = 0.0
+    r[7] *= 1e-9  # below the scale floor: the zero code
+    codes = residual_quant(r, cfg, 5, range(11))
+    assert codes[3].scale_idx == codes[7].scale_idx == 0
+    for code, row, c in zip(codes, r, range(11)):
+        single = residual_quant(row, cfg, 5, c)
+        assert code.scale_idx == single.scale_idx
+        assert np.array_equal(code.levels, single.levels)
+        assert np.array_equal(code.signs, single.signs)
+        assert code.signs.dtype == single.signs.dtype == np.int8
+
+
+@pytest.mark.parametrize("encode", [vector_quant, quantize_two_stage, encode_vector])
+def test_a_failing_row_raises_its_own_error_naming_the_row(encode):
+    cfg = QuantConfig(4, 3, BIASED)
+    x = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]])
+    with pytest.raises(ValueError) as single:
+        encode(x[2], cfg, 0, 2)
+    with pytest.raises(ValueError) as batch:
+        encode(x, cfg, 0, [0, 1, 2])
+    assert str(single.value) == "input vector has NaN or infinite coordinates"
+    assert str(batch.value) == f"row 2: {single.value}"
+    with pytest.raises(ValueError, match="row 1: vec_counter -1 outside"):
+        encode(x[:2], cfg, 0, [0, -1])
+    # a base decode beyond float64 (tests/test_norm.py), judged after encoding
+    if encode is vector_quant:
+        x = np.array([[1.0, 0.0, 0.0], [1.7e308, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="row 1: the decoded vector exceeds the float64"):
+            encode(x, QuantConfig(3, 4, BIASED), 0, [0, 1])
+
+
+def test_a_batch_needs_rows_and_one_counter_per_row():
+    cfg = QuantConfig(4, 3)
+    x = np.ones((3, 4))
+    for bad in ([0, 1], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="n rows with n counters"):
+            vector_quant(x, cfg, 0, bad)
+    with pytest.raises(ValueError, match="n rows with n counters"):
+        vector_quant(x[0], cfg, 0, [0, 1, 2, 3])
+    # an int counter makes x one vector, which a 2-D array is not
+    with pytest.raises(ValueError, match="length 4"):
+        vector_quant(x, cfg, 0, 0)
+    assert vector_quant(x[:0], cfg, 0, []) == []
+
+
+@pytest.mark.parametrize("dim, bits, n, stacks", [
+    (4096, 4, 30, [8, 8, 8, 6]),
+    (64, 16, 3, [1, 1, 1]),
+    (64, 3, 600, [512, 88]),
+])
+def test_codebook_stacks_stay_within_a_chunk(monkeypatch, dim, bits, n, stacks):
+    # one table stack per chunk of rows, and never more than one
+    # 65 536-entry table at a time
+    cfg = QuantConfig(dim, bits)
+    assert chunk_rows(cfg) == stacks[0]
+    sizes = []
+    build = vquant.build_codebook
+    monkeypatch.setattr(vquant, "build_codebook",
+                        lambda mode, levels, dither: sizes.append(len(dither)) or
+                        build(mode, levels, dither))
+    x = np.random.default_rng(92).standard_normal((n, dim))
+    quantize_two_stage(x, cfg, 1, range(n))
+    assert sizes == stacks
+
+
+def test_zero_rows_derive_no_randomness(monkeypatch):
+    streams = []
+    for module, name in ((vquant, "derive_base_signs"), (vquant, "derive_dither"),
+                         (residual, "derive_residual_signs")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda seed, c, *a, _fn=fn: streams.append(c) or
+                            _fn(seed, c, *a))
+    x = np.zeros((3, 8))
+    x[1, 0] = 1.0
+    codes = quantize_two_stage(x, QuantConfig(8, 2), 0, [10, 11, 12])
+    assert set(streams) == {11}
+    assert codes[0].base.norm == codes[2].base.norm == 0.0

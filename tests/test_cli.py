@@ -84,7 +84,7 @@ def test_quantize_dequantize_files(tmp_path):
         recon = table[code.base.indices]
         from hadaquant.vquant import _decode_padded_unit
 
-        base_err = float(np.sum((unit - _decode_padded_unit(code.base, cfg)) ** 2))
+        base_err = float(np.sum((unit - _decode_padded_unit([code.base], cfg)[0]) ** 2))
         assert base_err == pytest.approx(float(np.sum((z - recon) ** 2)) / d, rel=1e-9)
 
 
@@ -230,6 +230,19 @@ def test_quantize_refuses_a_directory_holding_payloads(tmp_path, capsys):
     assert main(["quantize", "--input", str(three), "--output", str(codes), "--bits", "4"]) == 1
     assert "already holds .hq payloads" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in codes.iterdir()} == before
+
+
+@pytest.mark.parametrize("row, message", [
+    ([1.0, np.nan, 0.0], "row 1: input vector has NaN or infinite coordinates"),
+    ([1.5e308, 1.5e308, 0.0], "row 1: the norm of the input vector exceeds the float64 range"),
+], ids=["nan", "norm-overflow"])
+def test_quantize_names_the_row_it_fails_on(tmp_path, capsys, row, message):
+    vectors = np.array([[1.0, 2.0, 3.0], row, [4.0, 5.0, 6.0]])
+    src, codes = tmp_path / "in.vec", tmp_path / "codes"
+    write_vectors(src, vectors)
+    assert main(["quantize", "--input", str(src), "--output", str(codes), "--bits", "4"]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not codes.exists()
 
 
 def test_dequantize_names_the_payload_it_fails_on(tmp_path, capsys):

@@ -82,3 +82,21 @@ def test_summary_reads_every_end_to_end_metric_of_the_benchmark():
     summary = record_bench.summarize([{"parent": run, "head": run}] * 3, metrics)
     assert list(summary) == [m["name"] for m in metrics]
     assert all(s["head_wins"] == 0 and not s["worse_than_bound"] for s in summary.values())
+
+
+def test_micro_commands_time_every_shape_with_the_measuring_code():
+    commands = record_bench.micro_commands()
+    assert list(commands) == [f"{d},{b},{m}" for d, b, m in record_bench.MICRO_SHAPES]
+    for (dim, bits, mode), cmd in zip(record_bench.MICRO_SHAPES, commands.values()):
+        assert cmd == [sys.executable, "-c", record_bench.MICRO_CODE, str(dim), str(bits), mode,
+                       str(record_bench.MICRO_ROWS)]
+    assert {m for _, _, m in record_bench.MICRO_SHAPES} == {"biased", "unbiased"}
+
+
+def test_micro_code_measures_both_calls_in_process():
+    # the code each rev runs, executed here against this tree's package
+    namespace = {"__name__": "micro"}
+    exec(record_bench.MICRO_CODE, namespace)
+    out = namespace["measure"](64, 3, "biased", rows=4, repeat=1)
+    assert set(out) == {"encode_vector_one_us", "quantize_4_rows_us_per_vector"}
+    assert all(0.0 < value < 1e6 for value in out.values())

@@ -288,6 +288,23 @@ def test_zero_residual_has_one_form(levels, signs):
         bitstream.encode(TwoStageCode(base, code, cfg))
 
 
+@pytest.mark.parametrize("signs", [
+    np.array([1j, 1, -1, 1]),
+    np.array([1.0, 1.0, -1.0, 1.0]),
+], ids=["complex", "float"])
+def test_signs_must_be_integers(signs):
+    # Complex signs of magnitude 1 passed the check; encode then cast 1j to
+    # 0 and wrote sign -1, while the decoder read its real part.
+    cfg, code = QuantConfig(4, 2), ResidualCode(4, np.zeros(4, dtype=np.int64), signs)
+    with pytest.raises(ValueError, match="signs must be integers"):
+        residual.check_code(code, cfg)
+    with pytest.raises(ValueError, match="signs must be integers"):
+        residual_dequant(code, cfg, 0, 0)
+    base = VectorCode(np.zeros(4, dtype=np.uint16), 1.0, 0, 0)
+    with pytest.raises(bitstream.FieldOverflowError, match="signs must be integers"):
+        bitstream.encode(TwoStageCode(base, code, cfg))
+
+
 @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
 def test_rejects_tokens_outside_64_bits(bad):
     # they used to be reduced mod 2**64: seed -1 coded like seed 2**64 - 1;

@@ -221,6 +221,30 @@ def test_transforms_match_reference_bit_for_bit(x, seed):
     _assert_transforms_match_reference(x, sample_signs(seed, 0, x.shape[0]))
 
 
+# (n, d) rows: each row of the batched sweep must carry the 1-D sweep's bits
+_finite_rows = st.tuples(st.integers(1, 6), st.integers(0, 12)).flatmap(lambda nk: hnp.arrays(
+    np.float64, (nk[0], 1 << nk[1]), elements=st.floats(-1e300, 1e300, allow_subnormal=True)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=_finite_rows, seed=st.integers(0, 2**64 - 1))
+def test_rows_match_reference_bit_for_bit(x, seed):
+    diag = np.array([sample_signs(seed, i, x.shape[1]) for i in range(x.shape[0])])
+    forward, inverse = apply_hd(x, diag), apply_hd_inverse(x, diag)
+    for row, signs, fwd, inv in zip(x, diag, forward, inverse):
+        _assert_bit_identical(fwd, _reference_fwht(row * signs))
+        _assert_bit_identical(inv, signs * _reference_fwht(row))
+
+
+def test_rows_need_one_diagonal_each():
+    x, diag = np.zeros((3, 8)), sample_signs(0, 0, 8)
+    for apply in (apply_hd, apply_hd_inverse):
+        with pytest.raises(ValueError, match="length mismatch"):
+            apply(x, diag)
+        with pytest.raises(ValueError, match="power of two"):
+            apply(x[None], np.ones((1, 3, 8)))
+
+
 def test_transforms_match_reference_at_dim_2_16():
     x = np.random.default_rng(17).standard_normal(1 << 16)
     _assert_transforms_match_reference(x, sample_signs(5, 6, 1 << 16))

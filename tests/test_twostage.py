@@ -51,7 +51,7 @@ def test_residual_scale_typically_small():
     norms = []
     for trial in range(60):
         code = quantize_two_stage(x, cfg, seed=50, vec_counter=trial)
-        approx = project_unit_ball(_decode_padded_unit(code.base, cfg))
+        approx = project_unit_ball(_decode_padded_unit([code.base], cfg)[0])
         norms.append(float(np.sum((x - approx) ** 2)))
     cap = 10.0 * (math.pi * math.sqrt(3.0) / 2.0) / 4.0**6
     assert float(np.median(norms)) <= cap
@@ -81,7 +81,7 @@ def test_trivial_residual_decodes_to_projected_base():
         ResidualCode(0, np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8)),
         cfg,
     )
-    expect = code.base.norm * project_unit_ball(_decode_padded_unit(code.base, cfg))[:12]
+    expect = code.base.norm * project_unit_ball(_decode_padded_unit([code.base], cfg)[0])[:12]
     assert np.array_equal(dequantize_two_stage(trivial), expect)
 
 

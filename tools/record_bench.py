@@ -15,11 +15,16 @@ head's median, the pairs the head wins by the metric's ``better`` (a tie counts
 for neither side), and whether the head's median is worse than the parent's by
 more than the metric's relative ``bound``. Tier-1 then runs once per rev, and
 its summary line and the ``--durations=10`` table that pyproject.toml asks for
-are kept. Both the benchmark and tier-1 run under the interpreter that runs
-this script, which takes the place of the command's ``python3``. The file is
-written to BENCH_<pr>.json at the repository root. Standard library only; it
-imports nothing from the benchmark or the package. Ten pairs of two 55-s
-workloads take about 40 minutes on a 2-CPU host.
+are kept. A micro table then times two public calls with ``timeit`` at each
+rev, per (dim, bits, mode) of MICRO_SHAPES: ``cli.encode_vector`` of one
+vector, and ``hadaquant quantize`` of a MICRO_ROWS-row vector file, per
+vector; the side that runs first alternates by shape, as in the pairs. Both
+the benchmark and tier-1 run under the interpreter that runs this script,
+which takes the place of the command's ``python3``. The file is written to
+BENCH_<pr>.json at the repository root. Standard library only; it imports
+nothing from the benchmark or the package (MICRO_CODE, which does, runs in a
+child process of each rev). Ten pairs of two 55-s workloads take about 40
+minutes on a 2-CPU host, the micro table about one more.
 """
 
 import json
@@ -35,6 +40,48 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 DURATION = re.compile(r"^([0-9.]+)s (setup|call|teardown)\s+(.+)$")  # node ids may hold spaces
+
+# The micro table's (dim, bits, mode) shapes and its vector-file size.
+MICRO_SHAPES = [(64, 3, "unbiased"), (1024, 6, "unbiased"), (4096, 4, "unbiased"),
+                (64, 16, "unbiased"), (4096, 4, "biased")]
+MICRO_ROWS = 1000
+# Run as ``python -c MICRO_CODE dim bits mode rows`` with the rev's src/ on
+# PYTHONPATH; prints one JSON object of microseconds per vector. Both calls
+# exist, with these arguments, at every rev since the CLI's quantize command.
+MICRO_CODE = """
+import contextlib, io, json, sys, tempfile, timeit
+from pathlib import Path
+import numpy as np
+from hadaquant import cli
+from hadaquant.vquant import QuantConfig
+
+
+def measure(dim, bits, mode, rows, repeat=5):
+    cfg = QuantConfig(dim, bits, mode)
+    x = np.random.default_rng(dim * 100 + bits).standard_normal((rows, dim))
+    one = timeit.Timer(lambda: cli.encode_vector(x[0], cfg, 1, 0))
+    number = max(1, int(0.2 / one.timeit(1)))
+    out = {"encode_vector_one_us": 1e6 * min(one.repeat(repeat, number)) / number}
+    with tempfile.TemporaryDirectory() as tmp:
+        cli.write_vectors(Path(tmp) / "in.vec", x)
+        runs = iter(range(repeat))
+        argv = ["quantize", "--input", str(Path(tmp) / "in.vec"), "--bits", str(bits),
+                "--mode", mode, "--seed", "1", "--output"]
+
+        def quantize():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(argv + [str(Path(tmp) / f"out{next(runs)}")]) != 0:
+                    raise RuntimeError("hadaquant quantize failed")
+
+        best = min(timeit.repeat(quantize, number=1, repeat=repeat))
+    out[f"quantize_{rows}_rows_us_per_vector"] = 1e6 * best / rows
+    return out
+
+
+if __name__ == "__main__":
+    dim, bits, mode, rows = sys.argv[1:]
+    print(json.dumps(measure(int(dim), int(bits), mode, int(rows))))
+"""
 
 
 def clone(rev: str, into: Path) -> Path:
@@ -73,6 +120,19 @@ def run_tier1(checkout: Path) -> dict:
             slowest.append({"seconds": float(seconds), "phase": phase, "test": test})
     summary = next(line.strip("= ") for line in reversed(lines) if line.strip())
     return {"summary": summary, "slowest": slowest}
+
+
+def micro_commands() -> dict[str, list[str]]:
+    """The micro table's command per shape, keyed "dim,bits,mode"."""
+    return {f"{dim},{bits},{mode}": [sys.executable, "-c", MICRO_CODE, str(dim), str(bits), mode,
+                                     str(MICRO_ROWS)]
+            for dim, bits, mode in MICRO_SHAPES}
+
+
+def run_micro(checkout: Path, cmd: list[str]) -> dict:
+    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": "src"}).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def pair_order(i: int) -> tuple[str, str]:
@@ -133,6 +193,13 @@ def main(argv: list[str]) -> int:
                     side_env, pair[side] = run_bench(checkouts[side], cmd)
                     env.setdefault(side, side_env)
                 runs[workload].append({"seed": seed, "first": pair_order(i)[0], **pair})
+        micro = []
+        for i, (shape, cmd) in enumerate(micro_commands().items()):
+            row = {"shape": shape}
+            for side in pair_order(i):
+                print(f"micro {shape} {side} ...", file=sys.stderr, flush=True)
+                row[side] = run_micro(checkouts[side], cmd)
+            micro.append(row)
         for side, checkout in checkouts.items():
             print(f"{side} tier-1 ...", file=sys.stderr, flush=True)
             tier1[side] = run_tier1(checkout)
@@ -151,6 +218,11 @@ def main(argv: list[str]) -> int:
         "summary": {workload: summarize(pairs, benchmark["end_to_end"])
                     for workload, pairs in runs.items()},
         "runs": runs,
+        "micro": {
+            "what": "timeit minimum over 5 repeats, microseconds per vector: cli.encode_vector "
+                    f"of one vector, and `hadaquant quantize` of a {MICRO_ROWS}-row file",
+            "rows": micro,
+        },
         "tier1": tier1,
     }
     out = ROOT / f"BENCH_{pr}.json"
