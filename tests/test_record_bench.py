@@ -100,3 +100,12 @@ def test_micro_code_measures_both_calls_in_process():
     out = namespace["measure"](64, 3, "biased", rows=4, repeat=1)
     assert set(out) == {"encode_vector_one_us", "quantize_4_rows_us_per_vector"}
     assert all(0.0 < value < 1e6 for value in out.values())
+
+
+def test_micro_row_keeps_each_sides_fastest_round():
+    rounds = [{"parent": {"a": 3.0, "b": 1.0}, "head": {"a": 2.0, "b": 5.0}},
+              {"parent": {"a": 4.0, "b": 0.5}, "head": {"a": 1.5, "b": 6.0}}]
+    assert record_bench.micro_row("64,3,unbiased", rounds) == {
+        "shape": "64,3,unbiased", "rounds": 2,
+        "parent": {"a": 3.0, "b": 0.5}, "head": {"a": 1.5, "b": 5.0},
+    }

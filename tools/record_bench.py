@@ -18,13 +18,15 @@ its summary line and the ``--durations=10`` table that pyproject.toml asks for
 are kept. A micro table then times two public calls with ``timeit`` at each
 rev, per (dim, bits, mode) of MICRO_SHAPES: ``cli.encode_vector`` of one
 vector, and ``hadaquant quantize`` of a MICRO_ROWS-row vector file, per
-vector; the side that runs first alternates by shape, as in the pairs. Both
+vector. Each shape runs MICRO_ROUNDS rounds of one child process per rev,
+the side that runs first alternating as in the pairs, and keeps each
+side's fastest round. Both
 the benchmark and tier-1 run under the interpreter that runs this script,
 which takes the place of the command's ``python3``. The file is written to
 BENCH_<pr>.json at the repository root. Standard library only; it imports
 nothing from the benchmark or the package (MICRO_CODE, which does, runs in a
 child process of each rev). Ten pairs of two 55-s workloads take about 40
-minutes on a 2-CPU host, the micro table about one more.
+minutes on a 2-CPU host, the micro table about three more.
 """
 
 import json
@@ -45,6 +47,7 @@ DURATION = re.compile(r"^([0-9.]+)s (setup|call|teardown)\s+(.+)$")  # node ids 
 MICRO_SHAPES = [(64, 3, "unbiased"), (1024, 6, "unbiased"), (4096, 4, "unbiased"),
                 (64, 16, "unbiased"), (4096, 4, "biased")]
 MICRO_ROWS = 1000
+MICRO_ROUNDS = 3
 # Run as ``python -c MICRO_CODE dim bits mode rows`` with the rev's src/ on
 # PYTHONPATH; prints one JSON object of microseconds per vector. Both calls
 # exist, with these arguments, at every rev since the CLI's quantize command.
@@ -135,6 +138,16 @@ def run_micro(checkout: Path, cmd: list[str]) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+def micro_row(shape: str, rounds: list[dict]) -> dict:
+    """One micro-table row from its rounds, each {"parent": timings, "head": timings}.
+
+    Keeps each side's fastest time per call, the least disturbed by the host.
+    """
+    return {"shape": shape, "rounds": len(rounds),
+            **{side: {key: min(r[side][key] for r in rounds) for key in rounds[0][side]}
+               for side in ("parent", "head")}}
+
+
 def pair_order(i: int) -> tuple[str, str]:
     """The sides of pair i in run order: the parent first in even pairs."""
     return ("parent", "head") if i % 2 == 0 else ("head", "parent")
@@ -195,11 +208,13 @@ def main(argv: list[str]) -> int:
                 runs[workload].append({"seed": seed, "first": pair_order(i)[0], **pair})
         micro = []
         for i, (shape, cmd) in enumerate(micro_commands().items()):
-            row = {"shape": shape}
-            for side in pair_order(i):
-                print(f"micro {shape} {side} ...", file=sys.stderr, flush=True)
-                row[side] = run_micro(checkouts[side], cmd)
-            micro.append(row)
+            rounds = []
+            for j in range(MICRO_ROUNDS):
+                rounds.append({})
+                for side in pair_order(i + j):
+                    print(f"micro {shape} round {j} {side} ...", file=sys.stderr, flush=True)
+                    rounds[-1][side] = run_micro(checkouts[side], cmd)
+            micro.append(micro_row(shape, rounds))
         for side, checkout in checkouts.items():
             print(f"{side} tier-1 ...", file=sys.stderr, flush=True)
             tier1[side] = run_tier1(checkout)
@@ -219,8 +234,10 @@ def main(argv: list[str]) -> int:
                     for workload, pairs in runs.items()},
         "runs": runs,
         "micro": {
-            "what": "timeit minimum over 5 repeats, microseconds per vector: cli.encode_vector "
-                    f"of one vector, and `hadaquant quantize` of a {MICRO_ROWS}-row file",
+            "what": "timeit minimum over 5 repeats in each of "
+                    f"{MICRO_ROUNDS} alternating rounds, microseconds per vector: "
+                    "cli.encode_vector of one vector, and `hadaquant quantize` of a "
+                    f"{MICRO_ROWS}-row file",
             "rows": micro,
         },
         "tier1": tier1,
