@@ -143,7 +143,7 @@ def chunk_rows(config: QuantConfig) -> int:
 
 
 def _encode_rows(x, config: QuantConfig, seed, vec_counter, check_row, encode_chunk, decode=None):
-    """The batch driver of every encoder; returns one code, or a list of n codes.
+    """The one batch path of every encoder; returns one code, or a list of n codes.
 
     x is one vector with an int vec_counter, a batch of one, or an (n, length)
     array of rows with a length-n sequence of counters. Each row is checked
