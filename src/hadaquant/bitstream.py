@@ -162,13 +162,13 @@ def decode(data: bytes) -> TwoStageCode:
         signs = (2 * rest[sign_start : sign_start + d].astype(np.int8) - 1).astype(np.int8)
         padding = rest[sign_start + d :]
     else:
-        levels, signs, padding = np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8), rest
+        levels, signs, padding = np.zeros(d, dtype=np.int16), np.zeros(d, dtype=np.int8), rest
     if padding.size >= 8:
         raise TrailingDataError(f"{padding.size} spare bits after the payload")
     if padding.any():
         raise PaddingError("nonzero padding bits")
     base = VectorCode(indices.astype(np.uint16), norm, seed, vec_counter)
-    code = TwoStageCode(base, ResidualCode(scale_idx, levels.astype(np.int64), signs), cfg)
+    code = TwoStageCode(base, ResidualCode(scale_idx, levels.astype(np.int16), signs), cfg)
     _check_fields(code)
     return code
 

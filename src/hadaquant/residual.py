@@ -42,7 +42,7 @@ def _ceil_log2(x):
     # ceil(log2 x) for x > 0 by exponent extraction, elementwise; exact, no
     # floating log. Zero maps to 0.
     m, e = np.frexp(x)
-    return np.where(m == 0.5, e - 1, e)
+    return e - (m == 0.5)
 
 
 def scalar_dequant(scale_idx: int, padded_dim: int, num_levels: int) -> float:
@@ -65,7 +65,7 @@ class ResidualCode:
     """
 
     scale_idx: int
-    levels: np.ndarray  # (d,) int64, all zero when scale_idx == 0
+    levels: np.ndarray  # (d,) int16, all zero when scale_idx == 0
     signs: np.ndarray  # (d,) int8 in {-1,+1}, all zero when scale_idx == 0
 
 
@@ -97,7 +97,7 @@ def _doubling_levels(v_abs: np.ndarray, sigma) -> np.ndarray:
     # Smallest level >= 0 with v_abs <= sigma * 2**level. sigma is a power of
     # two (a column of them for rows), so v_abs / sigma is exact and so is
     # its ceil(log2).
-    lev = np.maximum(_ceil_log2(v_abs / sigma), 0).astype(np.int64)
+    lev = np.maximum(_ceil_log2(v_abs / sigma), 0).astype(np.int16)
     if lev.max(initial=0) > MAX_LEVEL:
         raise RuntimeError(f"doubling level exceeds cap {MAX_LEVEL}")
     return lev
@@ -124,34 +124,30 @@ def _check_residual(r, config: QuantConfig):
 
 
 def _residual_chunk(items, config: QuantConfig, seed: int) -> list:
-    # The codes of checked (r, norm, counter) items; the coordinates of the
-    # rows with a nonzero scale index are coded together.
+    # The codes of checked (r, norm, counter) items: row views of one
+    # zero-filled array per field, written only at the rows at or above the
+    # scale floor; a row below it stays zero at scale index 0 and derives no
+    # randomness.
     d, num_levels = config.padded_dim, config.num_levels
     tau = min_scale(d, num_levels)
-    codes, live, scales = [None] * len(items), [], []
-    for i, (_, norm, _) in enumerate(items):
-        s = norm / math.sqrt(d)
-        if s < tau:
-            codes[i] = ResidualCode(0, np.zeros(d, dtype=np.int64), np.zeros(d, dtype=np.int8))
-        else:
-            # s / tau <= 2 * sqrt(d) * num_levels: far below MAX_SCALE_IDX.
-            live.append(i)
-            scales.append(int(_ceil_log2(s / tau)) + 1)
-    if not live:
-        return codes
-    counters = [items[i][2] for i in live]
-    diag = np.array([derive_residual_signs(seed, counter, d) for counter in counters])
-    v = apply_hd(np.array([items[i][0] for i in live]), diag)
-    sigma = np.array([scalar_dequant(k, d, num_levels) for k in scales])[:, None]
-    levels = _doubling_levels(np.abs(v), sigma)
-    radius = np.ldexp(sigma, levels)
-    p_plus = 0.5 * (1.0 + v / radius)
-    uniforms = np.array([sample_uniforms(seed, (counter, STREAM_SIGN_BITS), d)
-                         for counter in counters])
-    signs = np.where(uniforms < p_plus, 1, -1).astype(np.int8)
-    for row, (i, scale_idx) in enumerate(zip(live, scales)):
-        codes[i] = ResidualCode(scale_idx, levels[row], signs[row])
-    return codes
+    # s / tau <= 2 * sqrt(d) * num_levels: far below MAX_SCALE_IDX.
+    scales = [int(_ceil_log2(s / tau)) + 1 if s >= tau else 0
+              for s in (norm / math.sqrt(d) for _, norm, _ in items)]
+    live = [i for i, scale_idx in enumerate(scales) if scale_idx]
+    levels = np.zeros((len(items), d), dtype=np.int16)
+    signs = np.zeros((len(items), d), dtype=np.int8)
+    if live:
+        counters = [items[i][2] for i in live]
+        diag = np.array([derive_residual_signs(seed, counter, d) for counter in counters])
+        v = apply_hd(np.array([items[i][0] for i in live]), diag)
+        sigma = np.array([scalar_dequant(scales[i], d, num_levels) for i in live])[:, None]
+        live_levels = _doubling_levels(np.abs(v), sigma)
+        p_plus = 0.5 * (1.0 + v / np.ldexp(sigma, live_levels))
+        uniforms = np.array([sample_uniforms(seed, (counter, STREAM_SIGN_BITS), d)
+                             for counter in counters])
+        levels[live] = live_levels
+        signs[live] = np.where(uniforms < p_plus, 1, -1)
+    return [ResidualCode(*fields) for fields in zip(scales, levels, signs)]
 
 
 def residual_dequant(

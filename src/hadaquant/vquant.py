@@ -150,8 +150,10 @@ def _encode_rows(x, config: QuantConfig, seed, vec_counter, check_row, encode_ch
     first: its counter as an integer in [0, 2**64), then the row by
     check_row(row, config), which returns it with its norm. encode_chunk(items,
     config, seed) then encodes the (row, norm, counter) items, chunk_rows(config)
-    at a time, one code per item. decode(code, config) runs for each code whose
-    norm exceeds _DECODE_CHECK_NORM, and raises where that decode overflows.
+    at a time, one code per item; a chunk's codes hold row views of one array
+    per code field, so a code kept alone keeps its chunk's arrays alive (at
+    most _CHUNK_ENTRIES entries each). decode(code, config) runs for each code
+    whose norm exceeds _DECODE_CHECK_NORM, and raises where that decode overflows.
     In a batch, a ValueError raised for a row names it: "row 1: ...".
     """
     seed = check_token("seed", seed)
@@ -192,10 +194,11 @@ def _check_input(x, config: QuantConfig):
 
 def _quantize_chunk(items, config: QuantConfig, seed: int):
     # The base codes of checked (row, norm, counter) items, without their
-    # decode check. Also returns, for the nonzero rows, their positions,
-    # padded unit directions and (signs, dithers), as rows, which the
-    # two-stage codec reuses to form its residuals and decode its base
-    # stage; a zero row derives no randomness.
+    # decode check: row views of one zero-filled indices array, written only
+    # at the nonzero rows, so a zero row derives no randomness. Also returns,
+    # for the nonzero rows, their positions, padded unit directions and
+    # (signs, dithers), which the two-stage codec reuses to form its
+    # residuals and decode its base stage.
     d = config.padded_dim
     live = [i for i, (_, norm, _) in enumerate(items) if norm > 0.0]
     units = np.zeros((len(live), d))
@@ -207,12 +210,9 @@ def _quantize_chunk(items, config: QuantConfig, seed: int):
         signs[row] = derive_base_signs(seed, counter, d)
         dithers[row] = derive_dither(seed, counter)
     z = math.sqrt(d) * apply_hd(units, signs)
-    indices = iter(quantize_scalar(z, config.mode, config.num_levels, dithers[:, None]))
-    codes = [
-        VectorCode(next(indices).astype(np.uint16) if norm > 0.0 else np.zeros(d, dtype=np.uint16),
-                   norm, seed, counter)
-        for _, norm, counter in items
-    ]
+    indices = np.zeros((len(items), d), dtype=np.uint16)
+    indices[live] = quantize_scalar(z, config.mode, config.num_levels, dithers[:, None])
+    codes = [VectorCode(row, norm, seed, counter) for row, (_, norm, counter) in zip(indices, items)]
     return codes, live, units, (signs, dithers)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadaquant import residual, vquant
+from hadaquant.bitstream import decode, encode
 from hadaquant.cli import encode_vector
 from hadaquant.codebook import BIASED, MODES
 from hadaquant.residual import residual_quant
@@ -132,3 +133,83 @@ def test_zero_rows_derive_no_randomness(monkeypatch):
     codes = quantize_two_stage(x, QuantConfig(8, 2), 0, [10, 11, 12])
     assert set(streams) == {11}
     assert codes[0].base.norm == codes[2].base.norm == 0.0
+
+
+def _assert_same_code(code, single):
+    # field for field, dtypes included
+    for got, want in ((code.base.indices, single.base.indices),
+                      (code.residual.levels, single.residual.levels),
+                      (code.residual.signs, single.residual.signs)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (code.base.norm, code.base.seed, code.base.vec_counter) == (
+        single.base.norm, single.base.seed, single.base.vec_counter)
+    assert (code.residual.scale_idx, code.config) == (single.residual.scale_idx, single.config)
+
+
+def _record_streams(monkeypatch):
+    # the (stream, counter) of every derivation in the encoders
+    streams = []
+    for module, name in ((vquant, "derive_base_signs"), (vquant, "derive_dither"),
+                         (residual, "derive_residual_signs")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda seed, c, *a, _fn=fn, _name=name:
+                            streams.append((_name, c)) or _fn(seed, c, *a))
+    uniforms = residual.sample_uniforms
+    monkeypatch.setattr(residual, "sample_uniforms", lambda seed, tag, *a:
+                        streams.append(("sign_bits", tag[0])) or uniforms(seed, tag, *a))
+    return streams
+
+
+def test_a_chunk_of_zero_rows_gives_the_per_row_codes_and_derives_nothing(monkeypatch):
+    cfg = QuantConfig(8, 3)
+    singles = [quantize_two_stage(np.zeros(8), cfg, 4, c) for c in range(5)]
+    streams = _record_streams(monkeypatch)
+    codes = quantize_two_stage(np.zeros((5, 8)), cfg, 4, range(5))
+    assert streams == []
+    for code, single in zip(codes, singles):
+        _assert_same_code(code, single)
+        assert code.base.norm == 0.0 and code.residual.scale_idx == 0
+
+
+def test_a_chunk_of_residuals_below_the_floor_gives_the_per_row_codes(monkeypatch):
+    cfg = QuantConfig(100, 5)
+    r = np.random.default_rng(93).standard_normal((6, cfg.padded_dim))
+    r *= 1e-9 / np.linalg.norm(r, axis=1, keepdims=True)
+    r[2] = 0.0
+    singles = [residual_quant(row, cfg, 5, c) for c, row in enumerate(r)]
+    streams = _record_streams(monkeypatch)
+    codes = residual_quant(r, cfg, 5, range(6))
+    assert streams == []
+    for code, single in zip(codes, singles):
+        assert code.scale_idx == single.scale_idx == 0
+        for got, want in ((code.levels, single.levels), (code.signs, single.signs)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_a_chunk_mixing_zero_below_floor_and_live_rows_gives_the_per_row_codes(monkeypatch):
+    # at dim 1 a decode beyond the unit ball projects back onto the input's
+    # direction exactly, which leaves a zero residual on a nonzero row
+    cfg = QuantConfig(1, 1)
+    x = np.array([[3.0], [0.0], [-2.0], [1.0], [0.0], [5.0], [-1.0], [7.0]])
+    singles = [quantize_two_stage(row, cfg, 7, c) for c, row in enumerate(x)]
+    streams = _record_streams(monkeypatch)
+    codes = quantize_two_stage(x, cfg, 7, range(8))
+    kinds = [(code.base.norm > 0.0, code.residual.scale_idx > 0) for code in codes]
+    assert set(kinds) == {(False, False), (True, False), (True, True)}
+    for code, single in zip(codes, singles):
+        _assert_same_code(code, single)
+    base = [c for c, (live, _) in enumerate(kinds) if live]
+    resid = [c for c, (_, live) in enumerate(kinds) if live]
+    assert sorted(streams) == sorted(
+        [(name, c) for c in base for name in ("derive_base_signs", "derive_dither")]
+        + [(name, c) for c in resid for name in ("derive_residual_signs", "sign_bits")])
+
+
+def test_residual_levels_take_two_bytes_a_coordinate_and_keep_their_type_on_the_wire():
+    cfg = QuantConfig(4096, 4)
+    x = np.random.default_rng(94).standard_normal((16, cfg.dim))
+    for code in quantize_two_stage(x, cfg, 3, range(16)):
+        assert code.residual.scale_idx > 0
+        assert code.residual.levels.itemsize <= 2
+        assert decode(encode(code)).residual.levels.dtype == code.residual.levels.dtype
+

@@ -109,3 +109,12 @@ def test_micro_row_keeps_each_sides_fastest_round():
         "shape": "64,3,unbiased", "rounds": 2,
         "parent": {"a": 3.0, "b": 0.5}, "head": {"a": 1.5, "b": 5.0},
     }
+
+
+def test_src_lines_counts_each_module_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "hadaquant"
+    package.mkdir(parents=True)
+    (package / "b.py").write_text("x = 1\ny = 2\n")
+    (package / "a.py").write_text("\n\n\nz = 3")  # no final newline: wc -l reads 3
+    (package / "notes.txt").write_text("not a module\n")
+    assert record_bench.src_lines(tmp_path) == {"files": {"a.py": 3, "b.py": 2}, "total": 5}

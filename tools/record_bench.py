@@ -20,9 +20,10 @@ rev, per (dim, bits, mode) of MICRO_SHAPES: ``cli.encode_vector`` of one
 vector, and ``hadaquant quantize`` of a MICRO_ROWS-row vector file, per
 vector. Each shape runs MICRO_ROUNDS rounds of one child process per rev,
 the side that runs first alternating as in the pairs, and keeps each
-side's fastest round. Both
-the benchmark and tier-1 run under the interpreter that runs this script,
-which takes the place of the command's ``python3``. The file is written to
+side's fastest round. The file also records ``src_lines``, the line count
+of each ``src/hadaquant/*.py`` file of each rev and their total, as ``wc -l``
+counts them. Both the benchmark and tier-1 run under the interpreter that
+runs this script, which takes the place of the command's ``python3``. The file is written to
 BENCH_<pr>.json at the repository root. Standard library only; it imports
 nothing from the benchmark or the package (MICRO_CODE, which does, runs in a
 child process of each rev). Ten pairs of two 55-s workloads take about 40
@@ -125,6 +126,13 @@ def run_tier1(checkout: Path) -> dict:
     return {"summary": summary, "slowest": slowest}
 
 
+def src_lines(checkout: Path) -> dict:
+    """The newline count (as wc -l) of each src/hadaquant/*.py file of checkout, and the total."""
+    files = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted((checkout / "src" / "hadaquant").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def micro_commands() -> dict[str, list[str]]:
     """The micro table's command per shape, keyed "dim,bits,mode"."""
     return {f"{dim},{bits},{mode}": [sys.executable, "-c", MICRO_CODE, str(dim), str(bits), mode,
@@ -197,6 +205,7 @@ def main(argv: list[str]) -> int:
     env, runs, tier1 = {}, {workload: [] for workload in bench_commands(benchmark, 0)}, {}
     with tempfile.TemporaryDirectory(prefix="record_bench-") as tmp:
         checkouts = {side: clone(rev, Path(tmp) / side) for side, rev in revs.items()}
+        lines = {side: src_lines(checkout) for side, checkout in checkouts.items()}
         for workload in runs:
             for i in range(PAIRS):
                 seed, pair = 100 * pr + i, {}
@@ -233,6 +242,7 @@ def main(argv: list[str]) -> int:
         "summary": {workload: summarize(pairs, benchmark["end_to_end"])
                     for workload, pairs in runs.items()},
         "runs": runs,
+        "src_lines": lines,
         "micro": {
             "what": "timeit minimum over 5 repeats in each of "
                     f"{MICRO_ROUNDS} alternating rounds, microseconds per vector: "
