@@ -19,7 +19,7 @@ import numpy as np
 from . import bench, bitstream
 from .codebook import MODES, UNBIASED
 from .twostage import dequantize_two_stage, quantize_two_stage
-from .vquant import QuantConfig
+from .vquant import QuantConfig, RowError, _as_rows
 
 VEC_MAGIC = b"HQVF"
 _VEC_HEADER = struct.Struct("<4sII")
@@ -91,9 +91,29 @@ def encode_vector(x: np.ndarray, config: QuantConfig, seed: int, vec_counter):
     return bitstream.encode(codes)
 
 
-def decode_payload(data: bytes) -> np.ndarray:
-    """Decode one .hq payload to a vector."""
-    return dequantize_two_stage(bitstream.decode(data))
+def decode_payload(data) -> np.ndarray:
+    """Decode one .hq payload (bytes, bytearray or memoryview) to a vector.
+
+    A list or tuple of n payloads of one dim decodes to an (n, dim) array in
+    one batch decode, each row equal to its own payload's decode; a ValueError
+    raised for a payload names its row: "row 1: ..." (a RowError).
+    """
+    payloads, batch = _as_rows(data)
+    if not batch:
+        return dequantize_two_stage(bitstream.decode(data))
+    codes = []
+    for i, payload in enumerate(payloads):
+        try:
+            codes.append(bitstream.decode(payload))
+        except ValueError as exc:
+            raise RowError(i, exc) from exc
+    return dequantize_two_stage(codes)
+
+
+def _header_counter(payload: bytes) -> int:
+    # The vec_counter of a payload's header (field 7), read before the payload
+    # is judged; 0 for one too short to hold a header, which its decode rejects.
+    return bitstream.HEADER.unpack_from(payload)[7] if len(payload) >= bitstream.HEADER.size else 0
 
 
 def cmd_quantize(args) -> int:
@@ -118,24 +138,20 @@ def cmd_dequantize(args) -> int:
     paths = sorted(in_dir.glob("*.hq"))
     if not paths:
         raise ValueError(f"{in_dir}: no .hq payloads")
-    decoded = []
-    for path in paths:
-        payload = path.read_bytes()
-        try:
-            row = decode_payload(payload)  # validates the header read next
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        decoded.append((bitstream.HEADER.unpack_from(payload)[7], row))
-    # Rows follow each header's vec_counter (field 7), not the file names,
-    # which sort "vec_100000" before "vec_10001"; the stable sort keeps
-    # file-name order among equal counters.
-    decoded.sort(key=lambda entry: entry[0])
-    rows = [row for _, row in decoded]
-    widths = {r.shape[0] for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{in_dir}: payloads decode to mixed dimensions {sorted(widths)}")
-    write_vectors(args.output, np.vstack(rows), text=args.text)
-    print(f"decoded {len(rows)} vectors to {args.output}")
+    payloads = [path.read_bytes() for path in paths]
+    # Rows follow each header's vec_counter, not the file names, which sort
+    # "vec_100000" before "vec_10001"; the stable sort keeps file-name order
+    # among equal counters. The payloads go in that order into the one batch
+    # decode, whose rows are then the output, and a failing row names its file.
+    order = sorted(range(len(paths)), key=lambda i: _header_counter(payloads[i]))
+    try:
+        decoded = decode_payload([payloads[i] for i in order])
+    except RowError as exc:
+        raise ValueError(f"{paths[order[exc.row]]}: {exc.error}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{in_dir}: {exc}") from exc
+    write_vectors(args.output, decoded, text=args.text)
+    print(f"decoded {len(decoded)} vectors to {args.output}")
     return 0
 
 

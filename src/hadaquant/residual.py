@@ -23,10 +23,13 @@ from .transform import (
     sample_signs,
     sample_uniforms,
 )
-from .vquant import QuantConfig, _encode_rows
+from .vquant import QuantConfig, _as_rows, _decode_rows, _encode_rows
 
 MAX_SCALE_IDX = 255  # one header byte; unreachable for any desk-scale (d, bits)
 MAX_LEVEL = 64
+
+# 2**level for every level a code can hold, which decoding gathers from.
+_LEVEL_SCALES = np.ldexp(1.0, np.arange(MAX_LEVEL + 1))
 
 # Deterministic per-coordinate storage bound: sum(level_i + 1) never exceeds
 # this multiple of d whenever ||r|| <= 2.
@@ -150,18 +153,40 @@ def _residual_chunk(items, config: QuantConfig, seed: int) -> list:
     return [ResidualCode(*fields) for fields in zip(scales, levels, signs)]
 
 
-def residual_dequant(
-    code: ResidualCode, config: QuantConfig, seed: int, vec_counter: int
-) -> np.ndarray:
+def residual_dequant(code, config: QuantConfig, seed, vec_counter) -> np.ndarray:
     """Decode a residual code; conditionally unbiased given (diagonal, r).
 
     (seed, vec_counter) are the tokens the code was encoded under, checked
-    as residual_quant checks them; check_code judges the code first.
+    as residual_quant checks them; check_code judges the code first. A list
+    or tuple of n codes, with length-n sequences of seeds and counters,
+    decodes to an (n, padded_dim) array, each row equal to its own call's.
     """
-    seed, vec_counter = check_token("seed", seed), check_token("vec_counter", vec_counter)
-    check_code(code, config)
-    if code.scale_idx == 0:
-        return np.zeros(config.padded_dim)
-    sigma = scalar_dequant(code.scale_idx, config.padded_dim, config.num_levels)
-    q = np.ldexp(sigma, np.asarray(code.levels, dtype=np.int64)) * code.signs
-    return apply_hd_inverse(q, derive_residual_signs(seed, vec_counter, config.padded_dim))
+    codes, batch = _as_rows(code)
+    seeds, counters = (seed, vec_counter) if batch else ([seed], [vec_counter])
+    if not len(seeds) == len(counters) == len(codes):
+        raise ValueError(f"a batch is n codes with n seeds and n counters, got {len(codes)} "
+                         f"codes with {len(seeds)} seeds and {len(counters)} counters")
+
+    def check_row(item):
+        code, seed, vec_counter = item
+        check_token("seed", seed)
+        check_token("vec_counter", vec_counter)
+        check_code(code, config)
+        return config
+
+    return _decode_rows(list(zip(codes, seeds, counters)), batch, check_row,
+                        lambda config: config.padded_dim, _dequant_chunk)
+
+
+def _dequant_chunk(items, config: QuantConfig, out) -> None:
+    # The decodes of checked (code, seed, vec_counter) items. A code at scale
+    # index 0 has zero levels and signs, so its row decodes to +0.0 under a
+    # diagonal of ones, and it derives no randomness.
+    d = config.padded_dim
+    q, diag = np.empty((len(items), d)), np.empty((len(items), d))
+    for k, (code, seed, counter) in enumerate(items):
+        sigma = scalar_dequant(code.scale_idx, d, config.num_levels)
+        # sigma * 2**level, exact for a power-of-two sigma: np.ldexp's bits
+        np.multiply(np.take(sigma * _LEVEL_SCALES, code.levels), code.signs, out=q[k])
+        diag[k] = derive_residual_signs(seed, counter, d) if code.scale_idx else 1.0
+    out[:] = apply_hd_inverse(q, diag)

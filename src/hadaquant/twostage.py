@@ -18,8 +18,10 @@ from .transform import check_vector
 from .vquant import (
     QuantConfig,
     VectorCode,
+    _as_rows,
     _check_input,
     _decode_padded_unit,
+    _decode_rows,
     _encode_rows,
     _quantize_chunk,
     _scale_decoded,
@@ -74,20 +76,34 @@ def _two_stage_chunk(items, config: QuantConfig, seed: int) -> list:
     return [TwoStageCode(base, resid, config) for base, resid in zip(bases, residuals)]
 
 
-def dequantize_two_stage(code: TwoStageCode) -> np.ndarray:
+def dequantize_two_stage(code) -> np.ndarray:
     """Decode: stored norm times (projected base reconstruction plus residual).
 
-    Raises ValueError unless check_code passes, or when a coordinate of the
-    decode lies beyond the float64 range. Each stage is checked once, the
-    residual inside residual_dequant.
+    A list or tuple of n codes of one dim decodes to an (n, dim) array, each
+    row equal to its own code's decode; codes of different bits, mode or seed
+    may be mixed. Raises ValueError unless check_code passes, or when a
+    coordinate of the decode lies beyond the float64 range. Each stage is
+    checked once, the residual inside residual_dequant.
     """
-    config, base = code.config, code.base
-    vquant.check_code(base, config)
-    rhat = residual_dequant(code.residual, config, base.seed, base.vec_counter)
-    if base.norm == 0.0:
-        return np.zeros(config.dim)
-    approx = project_unit_ball(_decode_padded_unit([base], config)[0])
-    return _scale_decoded(base.norm, (approx + rhat)[: config.dim])
+    def check_row(code):
+        vquant.check_code(code.base, code.config)
+        return code.config
+
+    return _decode_rows(*_as_rows(code), check_row, lambda config: config.dim, _dequant_chunk)
+
+
+def _dequant_chunk(codes, config: QuantConfig, out) -> None:
+    # The decodes of codes whose base stage is checked; the residual stage is
+    # checked and decoded by one residual_dequant call. A zero-norm code stays
+    # a zero row, and its base stage derives no randomness.
+    bases = [code.base for code in codes]
+    rhat = residual_dequant([code.residual for code in codes], config,
+                            [base.seed for base in bases], [base.vec_counter for base in bases])
+    live = [j for j, base in enumerate(bases) if base.norm > 0.0]
+    if live:
+        approx = _decode_padded_unit([bases[j] for j in live], config)
+        total = [(project_unit_ball(row) + rhat[j])[: config.dim] for j, row in zip(live, approx)]
+        _scale_decoded(live, [bases[j].norm for j in live], total, out)
 
 
 def estimate_inner_product(code: TwoStageCode, y) -> float:

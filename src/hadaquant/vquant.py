@@ -8,9 +8,10 @@ randomness once: bucketing reads only the dither, and the two-stage codec
 reuses the same draws to decode its base stage. A reconstruction table is
 built only where a decode reads it.
 
-The encoders are batch-first: n rows with n counters are encoded a chunk of
-rows at a time, and one vector is a batch of one, so every code comes from
-the same path and a row's code does not depend on the rows beside it.
+The encoders and decoders are batch-first: n rows with n counters, or a
+list of n codes, run a chunk of rows at a time, and one vector or code is a
+batch of one, so every code and every decode comes from the same path and
+a row's result does not depend on the rows beside it.
 """
 
 import math
@@ -109,6 +110,14 @@ def scaled_norm(x: np.ndarray) -> float:
         raise ValueError("the norm of the input vector exceeds the float64 range") from None
 
 
+class RowError(ValueError):
+    """The ValueError of row `row` of a batch, its message prefixed "row <row>: "."""
+
+    def __init__(self, row: int, error: ValueError):
+        super().__init__(f"row {row}: {error}")
+        self.row, self.error = row, error
+
+
 # Codebook entries stay below 2**52 at every dither the streams can draw, and
 # a residual decodes to at most 2**317 per unit norm (scale index 255, every
 # level 64), so a well-formed code decodes to a finite vector at any norm up
@@ -116,29 +125,31 @@ def scaled_norm(x: np.ndarray) -> float:
 _DECODE_CHECK_NORM = 2.0**700
 
 
-def _scale_decoded(norm: float, direction: np.ndarray) -> np.ndarray:
-    # norm * direction for both decoders; ValueError where that overflows.
-    if norm <= _DECODE_CHECK_NORM:
-        return norm * direction
-    with np.errstate(over="ignore"):
-        out = norm * direction
-    if not np.isfinite(out).all():
-        raise ValueError("the decoded vector exceeds the float64 range")
-    return out
+def _scale_decoded(rows, norms, directions, out) -> None:
+    # out[i] = norm * direction for the rows i of a decode chunk, one row at a
+    # time, for both decoders; RowError(i) where that overflows.
+    for i, norm, direction in zip(rows, norms, directions):
+        if norm <= _DECODE_CHECK_NORM:
+            np.multiply(norm, direction, out=out[i])
+            continue
+        with np.errstate(over="ignore"):
+            np.multiply(norm, direction, out=out[i])
+        if not np.isfinite(out[i]).all():
+            raise RowError(i, ValueError("the decoded vector exceeds the float64 range"))
 
 
-# A batch is encoded a chunk of rows at a time, so that a chunk's arrays stay
-# in a core's L2 cache: its (rows, padded_dim) float64 arrays and the
-# (rows, num_levels) codebook stack the two-stage encoder builds hold at most
-# this many entries (256 KiB) each. That is 8 rows at d = 4096 and one row at
-# 2**16 levels. On a 2-MiB-L2 Xeon, a 30-row (4096, 4) two-stage encode took
-# 790 us per row in 8-row chunks, 760-790 in 4- to 16-row ones, 980 in one
-# 30-row chunk and 960 row by row.
+# A batch is encoded and decoded a chunk of rows at a time, so that a chunk's
+# arrays stay in a core's L2 cache: its (rows, padded_dim) float64 arrays and
+# the (rows, num_levels) codebook stack the two-stage codec builds hold at
+# most this many entries (256 KiB) each. That is 8 rows at d = 4096 and one
+# row at 2**16 levels. On a 2-MiB-L2 Xeon, a 30-row (4096, 4) two-stage
+# encode took 790 us per row in 8-row chunks, 760-790 in 4- to 16-row ones,
+# 980 in one 30-row chunk and 960 row by row.
 _CHUNK_ENTRIES = 2**15
 
 
 def chunk_rows(config: QuantConfig) -> int:
-    """Rows per chunk of a batch encode under config."""
+    """Rows per chunk of a batch encode or decode under config."""
     return max(1, _CHUNK_ENTRIES // max(config.padded_dim, config.num_levels))
 
 
@@ -154,7 +165,7 @@ def _encode_rows(x, config: QuantConfig, seed, vec_counter, check_row, encode_ch
     per code field, so a code kept alone keeps its chunk's arrays alive (at
     most _CHUNK_ENTRIES entries each). decode(code, config) runs for each code
     whose norm exceeds _DECODE_CHECK_NORM, and raises where that decode overflows.
-    In a batch, a ValueError raised for a row names it: "row 1: ...".
+    In a batch, a ValueError raised for a row names it: "row 1: ..." (a RowError).
     """
     seed = check_token("seed", seed)
     batch = not isinstance(vec_counter, int) and np.ndim(vec_counter) == 1
@@ -170,7 +181,7 @@ def _encode_rows(x, config: QuantConfig, seed, vec_counter, check_row, encode_ch
         except ValueError as exc:
             if not batch:
                 raise
-            raise ValueError(f"row {i}: {exc}") from exc
+            raise RowError(i, exc) from exc
     step = chunk_rows(config)
     codes = []
     for start in range(0, len(items), step):
@@ -182,8 +193,58 @@ def _encode_rows(x, config: QuantConfig, seed, vec_counter, check_row, encode_ch
             except ValueError as exc:
                 if not batch:
                     raise
-                raise ValueError(f"row {i}: {exc}") from exc
+                raise RowError(i, exc) from exc
     return codes if batch else codes[0]
+
+
+def _as_rows(codes):
+    # (rows, batch) for a decoder's argument: a list or tuple is a batch of
+    # rows, anything else one row.
+    return (codes, True) if isinstance(codes, (list, tuple)) else ([codes], False)
+
+
+def _decode_rows(codes, batch, check_row, width, decode_chunk):
+    """The one batch path of every decoder; returns one vector, or an (n, width) array.
+
+    codes is a list of n codes, whose decodes are the n rows of one array,
+    each equal to its own code's decode; without batch it holds one code,
+    whose decode is returned alone. Each code is checked first by
+    check_row(code), which returns the config it decodes under. Codes are
+    then grouped by config, which must agree on the row width(config), and
+    each group is decoded chunk_rows(config) codes at a time:
+    decode_chunk(codes, config, out) writes their decodes into the rows of
+    out, which start at zero, and raises RowError(j) for its row j. In a
+    batch, a ValueError raised for a code names its row: "row 1: ...".
+    """
+    groups = {}
+    for i, code in enumerate(codes):
+        try:
+            groups.setdefault(check_row(code), []).append(i)
+        except ValueError as exc:
+            if not batch:
+                raise
+            raise RowError(i, exc) from exc
+    widths = sorted({width(config) for config in groups})
+    if len(widths) > 1:
+        raise ValueError(f"codes decode to mixed dimensions {widths}")
+    out = np.zeros((len(codes), widths[0] if widths else 0))
+    for config, rows in groups.items():
+        step = chunk_rows(config)
+        for start in range(0, len(rows), step):
+            chunk = rows[start : start + step]
+            # consecutive rows are decoded in place, others through a block
+            block = out[chunk[0] : chunk[-1] + 1]
+            if len(block) != len(chunk):
+                block = np.zeros((len(chunk), out.shape[1]))
+            try:
+                decode_chunk([codes[i] for i in chunk], config, block)
+            except RowError as exc:
+                if not batch:
+                    raise exc.error from None
+                raise RowError(chunk[exc.row], exc.error) from exc.error
+            if block.base is not out:
+                out[chunk] = block
+    return out if batch else out[0]
 
 
 def _check_input(x, config: QuantConfig):
@@ -250,12 +311,24 @@ def _decode_padded_unit(codes, config: QuantConfig, draws=None) -> np.ndarray:
     return apply_hd_inverse(np.take(tables, flat) / math.sqrt(d), signs)
 
 
-def vector_dequant(code: VectorCode, config: QuantConfig) -> np.ndarray:
+def vector_dequant(code, config: QuantConfig) -> np.ndarray:
     """Decode a VectorCode back to a length-dim vector; check_code judges it first.
 
-    Raises ValueError when a coordinate of the decode lies beyond the float64 range.
+    A list or tuple of n codes decodes to an (n, dim) array, each row equal
+    to its own code's decode. Raises ValueError when a coordinate of the
+    decode lies beyond the float64 range.
     """
-    check_code(code, config)
-    if code.norm == 0.0:
-        return np.zeros(config.dim)
-    return _scale_decoded(code.norm, _decode_padded_unit([code], config)[0, : config.dim])
+    def check_row(code):
+        check_code(code, config)
+        return config
+
+    return _decode_rows(*_as_rows(code), check_row, lambda config: config.dim, _dequant_chunk)
+
+
+def _dequant_chunk(codes, config: QuantConfig, out) -> None:
+    # The decodes of checked codes; a zero-norm code stays a zero row and
+    # derives no randomness.
+    live = [j for j, code in enumerate(codes) if code.norm > 0.0]
+    if live:
+        units = _decode_padded_unit([codes[j] for j in live], config)[:, : config.dim]
+        _scale_decoded(live, [codes[j].norm for j in live], units, out)

@@ -1,4 +1,6 @@
-"""Batch-first encoders: an (n, dim) batch encodes each row as its own call does."""
+"""Batch-first codec: a batch encodes and decodes each row as its own call does."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,11 +9,11 @@ from hypothesis import strategies as st
 
 from hadaquant import residual, vquant
 from hadaquant.bitstream import decode, encode
-from hadaquant.cli import encode_vector
-from hadaquant.codebook import BIASED, MODES
-from hadaquant.residual import residual_quant
-from hadaquant.twostage import quantize_two_stage
-from hadaquant.vquant import QuantConfig, chunk_rows, vector_quant
+from hadaquant.cli import decode_payload, encode_vector, main, read_vectors
+from hadaquant.codebook import BIASED, MODES, UNBIASED
+from hadaquant.residual import ResidualCode, residual_dequant, residual_quant
+from hadaquant.twostage import dequantize_two_stage, quantize_two_stage
+from hadaquant.vquant import QuantConfig, chunk_rows, vector_dequant, vector_quant
 
 
 @st.composite
@@ -213,3 +215,125 @@ def test_residual_levels_take_two_bytes_a_coordinate_and_keep_their_type_on_the_
         assert code.residual.levels.itemsize <= 2
         assert decode(encode(code)).residual.levels.dtype == code.residual.levels.dtype
 
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(batch=_batches(), data=st.data())
+def test_each_row_of_a_batch_decode_equals_its_own_decode(batch, data):
+    # the three decoders over chunk boundaries (d = 4096 is 8 rows a chunk,
+    # bits 16 one row), zero-norm codes, scale-0 residuals and norms above
+    # the decoders' range check
+    x, cfg, seed, counters = batch
+    codes = quantize_two_stage(x, cfg, seed, counters)
+    zero = ResidualCode(0, np.zeros(cfg.padded_dim, np.int16), np.zeros(cfg.padded_dim, np.int8))
+    for i in data.draw(st.sets(st.integers(0, len(codes) - 1), max_size=4)):
+        codes[i] = dataclasses.replace(codes[i], residual=zero)
+    bases, residuals = [c.base for c in codes], [c.residual for c in codes]
+    seeds = [seed] * len(codes)
+    cases = [
+        (dequantize_two_stage, (codes,), [(c,) for c in codes], cfg.dim),
+        (vector_dequant, (bases, cfg), [(b, cfg) for b in bases], cfg.dim),
+        (residual_dequant, (residuals, cfg, seeds, counters),
+         list(zip(residuals, [cfg] * len(codes), seeds, counters)), cfg.padded_dim),
+    ]
+    for decoder, batch_args, single_args, width in cases:
+        decoded = decoder(*batch_args)
+        assert decoded.shape == (len(codes), width) and decoded.dtype == np.float64
+        assert [row.tobytes() for row in decoded] == [decoder(*a).tobytes() for a in single_args]
+
+
+def test_a_directory_mixing_bits_and_modes_decodes_each_payload_as_its_own_call(tmp_path):
+    rng = np.random.default_rng(95)
+    codes_dir = tmp_path / "codes"
+    codes_dir.mkdir()
+    payloads = []
+    for counter, (bits, mode, seed) in enumerate(
+            [(2, UNBIASED, 1), (16, BIASED, 2), (5, UNBIASED, 3), (2, BIASED, 1), (16, UNBIASED, 9),
+             (5, BIASED, 4), (2, UNBIASED, 5), (1, UNBIASED, 6)]):
+        x = rng.standard_normal(50) if counter != 3 else np.zeros(50)
+        payloads.append(encode_vector(x, QuantConfig(50, bits, mode), seed, counter))
+        (codes_dir / f"vec_{counter:05d}.hq").write_bytes(payloads[-1])
+    out = tmp_path / "out.vec"
+    assert main(["dequantize", "--input", str(codes_dir), "--output", str(out)]) == 0
+    want = [decode_payload(p).tobytes() for p in payloads]
+    assert [row.tobytes() for row in read_vectors(out)] == want
+    assert [row.tobytes() for row in decode_payload(payloads)] == want
+
+
+@pytest.mark.parametrize("dim, bits, n, stacks", [(4096, 4, 30, [8, 8, 8, 6]), (64, 16, 3, [1, 1, 1])])
+def test_a_batch_decode_builds_one_table_stack_per_chunk(monkeypatch, dim, bits, n, stacks):
+    cfg = QuantConfig(dim, bits)
+    codes = quantize_two_stage(np.random.default_rng(96).standard_normal((n, dim)), cfg, 1, range(n))
+    sizes = []
+    build = vquant.build_codebook
+    monkeypatch.setattr(vquant, "build_codebook",
+                        lambda mode, levels, dither: sizes.append(len(dither)) or
+                        build(mode, levels, dither))
+    dequantize_two_stage(codes)
+    assert sizes == stacks
+    sizes.clear()
+    vector_dequant([code.base for code in codes], cfg)
+    assert sizes == stacks
+
+
+def test_a_failing_code_raises_its_own_error_naming_the_row():
+    # bits 16 runs one row a chunk, so row 2 is the first row of the third
+    # chunk and of the residual_dequant call made for it
+    cfg = QuantConfig(4, 16)
+    codes = quantize_two_stage(np.arange(12.0).reshape(3, 4) + 1.0, cfg, 0, range(3))
+    bad_norm = dataclasses.replace(codes[1].base, norm=-1.0)
+    bad_levels = dataclasses.replace(codes[2].residual, levels=np.full(4, -1, np.int16))
+    bases = [codes[0].base, bad_norm, codes[2].base]
+    residuals = [codes[0].residual, codes[1].residual, bad_levels]
+    two_stage = [codes[0], dataclasses.replace(codes[1], base=bad_norm)]
+    two_stage_residual = [*codes[:2], dataclasses.replace(codes[2], residual=bad_levels)]
+    payloads = [encode(codes[0]), bytes(4), encode(codes[2])]
+    cases = [  # (batch call, the failing row's own call, row)
+        (lambda: vector_dequant(bases, cfg), lambda: vector_dequant(bad_norm, cfg), 1),
+        (lambda: dequantize_two_stage(two_stage), lambda: dequantize_two_stage(two_stage[1]), 1),
+        (lambda: dequantize_two_stage(two_stage_residual),
+         lambda: dequantize_two_stage(two_stage_residual[2]), 2),
+        (lambda: residual_dequant(residuals, cfg, [0, 0, 0], [0, 1, 2]),
+         lambda: residual_dequant(bad_levels, cfg, 0, 2), 2),
+        (lambda: decode_payload(payloads), lambda: decode_payload(payloads[1]), 1),
+    ]
+    for batch_call, single_call, row in cases:
+        with pytest.raises(ValueError) as single:
+            single_call()
+        with pytest.raises(vquant.RowError) as raised:
+            batch_call()
+        assert str(raised.value) == f"row {row}: {single.value}"
+        assert raised.value.row == row and type(raised.value.error) is type(single.value)
+    # a decode beyond float64: a coordinate of 2.5 at a stored norm of 1e308
+    code = quantize_two_stage(np.ones(4), QuantConfig(4, 1), 0, 14)
+    big = dataclasses.replace(code, base=dataclasses.replace(code.base, norm=1e308))
+    with pytest.raises(ValueError, match="^row 1: the decoded vector exceeds the float64 range$"):
+        dequantize_two_stage([code, big, code])
+
+
+def test_a_batch_decode_needs_one_dim_and_one_token_pair_per_code():
+    codes = [quantize_two_stage(np.ones(dim), QuantConfig(dim, 3), 0, 0) for dim in (6, 4, 6)]
+    with pytest.raises(ValueError, match=r"codes decode to mixed dimensions \[4, 6\]"):
+        dequantize_two_stage(codes)
+    residuals = [code.residual for code in codes[::2]]
+    with pytest.raises(ValueError, match="n codes with n seeds and n counters"):
+        residual_dequant(residuals, codes[0].config, [0, 0], [0])
+
+
+def test_a_batch_decode_derives_no_randomness_for_zero_rows(monkeypatch):
+    # a zero-norm code derives no base stream, a scale-0 residual no residual
+    # stream, as in the encoders
+    x = np.zeros((4, 8))
+    x[[1, 3]] = np.random.default_rng(97).standard_normal((2, 8))
+    codes = quantize_two_stage(x, QuantConfig(8, 2), 0, [10, 11, 12, 13])
+    codes[3] = dataclasses.replace(codes[3], residual=codes[0].residual)
+    assert codes[1].residual.scale_idx > 0 and codes[3].residual.scale_idx == 0
+    singles = [dequantize_two_stage(code).tobytes() for code in codes]
+    streams = _record_streams(monkeypatch)
+    assert [row.tobytes() for row in dequantize_two_stage(codes)] == singles
+    base = [(name, c) for c in (11, 13) for name in ("derive_base_signs", "derive_dither")]
+    assert sorted(streams) == sorted(base + [("derive_residual_signs", 11)])
+    streams.clear()
+    decoded = vector_dequant([code.base for code in codes], codes[0].config)
+    assert sorted(streams) == sorted(base)
+    assert not np.signbit(decoded[[0, 2]]).any() and not decoded[[0, 2]].any()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import struct
@@ -16,6 +17,7 @@ from hadaquant.cli import (
 )
 from hadaquant.codebook import build_codebook
 from hadaquant.transform import apply_hd
+from hadaquant.twostage import quantize_two_stage
 from hadaquant.vquant import QuantConfig, derive_base_signs, derive_dither
 
 
@@ -255,6 +257,36 @@ def test_dequantize_names_the_payload_it_fails_on(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{codes / 'vec_00001.hq'}: payload of 4 bytes is shorter than the header" in err
     assert not out.exists()
+
+
+def test_dequantize_names_the_payload_whose_decode_overflows(tmp_path, capsys):
+    # a well-formed payload: its unit direction decodes to a coordinate of
+    # 2.5, which a stored norm of 1e308 takes beyond float64; its counter
+    # puts it last in the batch, its file name second
+    cfg = QuantConfig(4, 1)
+    code = quantize_two_stage(np.ones(4), cfg, 0, 14)
+    big = dataclasses.replace(code, base=dataclasses.replace(code.base, norm=1e308))
+    codes = tmp_path / "codes"
+    codes.mkdir()
+    (codes / "vec_00000.hq").write_bytes(encode_vector(np.ones(4), cfg, 0, 0))
+    (codes / "vec_00001.hq").write_bytes(bitstream.encode(big))
+    (codes / "vec_00002.hq").write_bytes(encode_vector(np.ones(4), cfg, 0, 2))
+    out = tmp_path / "out.vec"
+    assert main(["dequantize", "--input", str(codes), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {codes / 'vec_00001.hq'}: the decoded vector exceeds the float64 range\n" == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_a_bytes_like_payload_is_one_payload(kind):
+    # only a list or tuple of payloads is a batch; a bytearray is not a
+    # batch of ints
+    payload = encode_vector(np.arange(1.0, 6.0), QuantConfig(5, 3), 2, 7)
+    decoded = decode_payload(kind(payload))
+    assert decoded.shape == (5,)
+    assert decoded.tobytes() == decode_payload(payload).tobytes()
+    assert decode_payload((kind(payload),)).tobytes() == decoded.tobytes()
 
 
 def test_dequantize_rejects_mixed_dimensions(tmp_path, capsys):

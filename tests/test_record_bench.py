@@ -93,12 +93,13 @@ def test_micro_commands_time_every_shape_with_the_measuring_code():
     assert {m for _, _, m in record_bench.MICRO_SHAPES} == {"biased", "unbiased"}
 
 
-def test_micro_code_measures_both_calls_in_process():
+def test_micro_code_measures_every_call_in_process():
     # the code each rev runs, executed here against this tree's package
     namespace = {"__name__": "micro"}
     exec(record_bench.MICRO_CODE, namespace)
     out = namespace["measure"](64, 3, "biased", rows=4, repeat=1)
-    assert set(out) == {"encode_vector_one_us", "quantize_4_rows_us_per_vector"}
+    assert set(out) == {"encode_vector_one_us", "quantize_4_rows_us_per_vector",
+                        "decode_payload_one_us", "dequantize_4_rows_us_per_vector"}
     assert all(0.0 < value < 1e6 for value in out.values())
 
 

@@ -8,6 +8,7 @@ from hadaquant import bench, bitstream, residual
 from hadaquant.residual import (
     LEVEL_SUM_COEFF,
     MAX_LEVEL,
+    MAX_SCALE_IDX,
     ResidualCode,
     _doubling_levels,
     derive_residual_signs,
@@ -73,6 +74,21 @@ def _residual_for_transformed(v, seed, vec_counter):
 def _fresh_sign_bits(monkeypatch, draw):
     # Replace the sign-bit stream, keeping the sign diagonal fixed.
     monkeypatch.setattr(residual, "sample_uniforms", lambda seed, stream_id, n: draw(n))
+
+
+@pytest.mark.parametrize("scale_idx, bits", [(1, 1), (40, 4), (MAX_SCALE_IDX, 16)])
+def test_decode_is_the_inverse_transform_of_every_level(scale_idx, bits):
+    # sigma * 2**level * sign at every level 0..MAX_LEVEL, by np.ldexp, then
+    # the inverse transform under the code's diagonal: the same bits
+    cfg = QuantConfig(130, bits)
+    d = cfg.padded_dim
+    levels = np.resize(np.arange(MAX_LEVEL + 1, dtype=np.int16), d)
+    signs = np.where(np.arange(d) % 3 == 0, -1, 1).astype(np.int8)
+    sigma = scalar_dequant(scale_idx, d, cfg.num_levels)
+    want = apply_hd_inverse(np.ldexp(sigma, levels.astype(np.int64)) * signs,
+                            derive_residual_signs(5, 6, d))
+    code = ResidualCode(scale_idx, levels, signs)
+    assert residual_dequant(code, cfg, 5, 6).tobytes() == want.tobytes()
 
 
 def test_levels_and_radii_worked_example(monkeypatch):

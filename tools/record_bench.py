@@ -15,10 +15,11 @@ head's median, the pairs the head wins by the metric's ``better`` (a tie counts
 for neither side), and whether the head's median is worse than the parent's by
 more than the metric's relative ``bound``. Tier-1 then runs once per rev, and
 its summary line and the ``--durations=10`` table that pyproject.toml asks for
-are kept. A micro table then times two public calls with ``timeit`` at each
-rev, per (dim, bits, mode) of MICRO_SHAPES: ``cli.encode_vector`` of one
-vector, and ``hadaquant quantize`` of a MICRO_ROWS-row vector file, per
-vector. Each shape runs MICRO_ROUNDS rounds of one child process per rev,
+are kept. A micro table then times four public calls with ``timeit`` at
+each rev, per (dim, bits, mode) of MICRO_SHAPES: ``cli.encode_vector`` of one
+vector, ``hadaquant quantize`` of a MICRO_ROWS-row vector file,
+``cli.decode_payload`` of one payload, and ``hadaquant dequantize`` of the
+MICRO_ROWS-payload directory that quantize wrote, per vector. Each shape runs MICRO_ROUNDS rounds of one child process per rev,
 the side that runs first alternating as in the pairs, and keeps each
 side's fastest round. The file also records ``src_lines``, the line count
 of each ``src/hadaquant/*.py`` file of each rev and their total, as ``wc -l``
@@ -50,8 +51,9 @@ MICRO_SHAPES = [(64, 3, "unbiased"), (1024, 6, "unbiased"), (4096, 4, "unbiased"
 MICRO_ROWS = 1000
 MICRO_ROUNDS = 3
 # Run as ``python -c MICRO_CODE dim bits mode rows`` with the rev's src/ on
-# PYTHONPATH; prints one JSON object of microseconds per vector. Both calls
-# exist, with these arguments, at every rev since the CLI's quantize command.
+# PYTHONPATH; prints one JSON object of microseconds per vector. All four
+# calls exist, with these arguments, at every rev since the CLI's quantize
+# and dequantize commands.
 MICRO_CODE = """
 import contextlib, io, json, sys, tempfile, timeit
 from pathlib import Path
@@ -78,7 +80,21 @@ def measure(dim, bits, mode, rows, repeat=5):
                     raise RuntimeError("hadaquant quantize failed")
 
         best = min(timeit.repeat(quantize, number=1, repeat=repeat))
-    out[f"quantize_{rows}_rows_us_per_vector"] = 1e6 * best / rows
+        out[f"quantize_{rows}_rows_us_per_vector"] = 1e6 * best / rows
+        codes = Path(tmp) / "out0"
+        payload = (codes / "vec_00000.hq").read_bytes()
+        one = timeit.Timer(lambda: cli.decode_payload(payload))
+        number = max(1, int(0.2 / one.timeit(1)))
+        out["decode_payload_one_us"] = 1e6 * min(one.repeat(repeat, number)) / number
+        argv = ["dequantize", "--input", str(codes), "--output", str(Path(tmp) / "out.vec")]
+
+        def dequantize():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(argv) != 0:
+                    raise RuntimeError("hadaquant dequantize failed")
+
+        best = min(timeit.repeat(dequantize, number=1, repeat=repeat))
+        out[f"dequantize_{rows}_rows_us_per_vector"] = 1e6 * best / rows
     return out
 
 
@@ -246,8 +262,9 @@ def main(argv: list[str]) -> int:
         "micro": {
             "what": "timeit minimum over 5 repeats in each of "
                     f"{MICRO_ROUNDS} alternating rounds, microseconds per vector: "
-                    "cli.encode_vector of one vector, and `hadaquant quantize` of a "
-                    f"{MICRO_ROWS}-row file",
+                    "cli.encode_vector of one vector, `hadaquant quantize` of a "
+                    f"{MICRO_ROWS}-row file, cli.decode_payload of one payload, and "
+                    f"`hadaquant dequantize` of the {MICRO_ROWS}-payload directory",
             "rows": micro,
         },
         "tier1": tier1,
