@@ -102,7 +102,10 @@ def _dequant_chunk(codes, config: QuantConfig, out) -> None:
     live = [j for j, base in enumerate(bases) if base.norm > 0.0]
     if live:
         approx = _decode_padded_unit([bases[j] for j in live], config)
-        total = [(project_unit_ball(row) + rhat[j])[: config.dim] for j, row in zip(live, approx)]
+        total = [project_unit_ball(row) for row in approx]
+        for row, j in zip(total, live):
+            row += rhat[j]
+        total = [row[: config.dim] for row in total]
         _scale_decoded(live, [bases[j].norm for j in live], total, out)
 
 

@@ -308,7 +308,9 @@ def _decode_padded_unit(codes, config: QuantConfig, draws=None) -> np.ndarray:
     # Row i gathers from table i: flat positions in the stack.
     flat = np.array([code.indices for code in codes], dtype=np.intp)
     flat += np.arange(0, tables.size, config.num_levels)[:, None]
-    return apply_hd_inverse(np.take(tables, flat) / math.sqrt(d), signs)
+    units = np.take(tables, flat)
+    units /= math.sqrt(d)
+    return apply_hd_inverse(units, signs)
 
 
 def vector_dequant(code, config: QuantConfig) -> np.ndarray:
