@@ -19,7 +19,7 @@ import numpy as np
 from . import bench, bitstream
 from .codebook import MODES, UNBIASED
 from .twostage import dequantize_two_stage, quantize_two_stage
-from .vquant import QuantConfig, RowError, _as_rows
+from .vquant import QuantConfig, RowError, _as_rows, _each_row
 
 VEC_MAGIC = b"HQVF"
 _VEC_HEADER = struct.Struct("<4sII")
@@ -55,10 +55,13 @@ def read_vectors(path, text: bool = False) -> np.ndarray:
     if text:
         rows = []
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(v) for v in line.split()])
+            for number, line in enumerate(fh, 1):
+                try:
+                    row = [float(v) for v in line.split()]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
+                if row:
+                    rows.append(row)
         if not rows:
             raise ValueError(f"{path}: no vectors found")
         widths = {len(r) for r in rows}
@@ -96,18 +99,12 @@ def decode_payload(data) -> np.ndarray:
 
     A list or tuple of n payloads of one dim decodes to an (n, dim) array in
     one batch decode, each row equal to its own payload's decode; a ValueError
-    raised for a payload names its row: "row 1: ..." (a RowError).
+    raised for a payload names its row: "row 1: ..." (a RowError). An empty
+    one holds no dim, so it decodes to a (0, 0) array.
     """
     payloads, batch = _as_rows(data)
-    if not batch:
-        return dequantize_two_stage(bitstream.decode(data))
-    codes = []
-    for i, payload in enumerate(payloads):
-        try:
-            codes.append(bitstream.decode(payload))
-        except ValueError as exc:
-            raise RowError(i, exc) from exc
-    return dequantize_two_stage(codes)
+    codes = _each_row(payloads, batch, bitstream.decode)
+    return dequantize_two_stage(codes if batch else codes[0])
 
 
 def _header_counter(payload: bytes) -> int:

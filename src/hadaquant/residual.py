@@ -159,7 +159,8 @@ def residual_dequant(code, config: QuantConfig, seed, vec_counter) -> np.ndarray
     (seed, vec_counter) are the tokens the code was encoded under, checked
     as residual_quant checks them; check_code judges the code first. A list
     or tuple of n codes, with length-n sequences of seeds and counters,
-    decodes to an (n, padded_dim) array, each row equal to its own call's.
+    decodes to an (n, padded_dim) array, each row equal to its own call's;
+    an empty one to a (0, padded_dim) array.
     """
     codes, batch = _as_rows(code)
     seeds, counters = (seed, vec_counter) if batch else ([seed], [vec_counter])
@@ -175,7 +176,7 @@ def residual_dequant(code, config: QuantConfig, seed, vec_counter) -> np.ndarray
         return config
 
     return _decode_rows(list(zip(codes, seeds, counters)), batch, check_row,
-                        lambda config: config.padded_dim, _dequant_chunk)
+                        lambda _: config.padded_dim, _dequant_chunk)
 
 
 def _dequant_chunk(items, config: QuantConfig, out) -> None:

@@ -81,7 +81,8 @@ def dequantize_two_stage(code) -> np.ndarray:
 
     A list or tuple of n codes of one dim decodes to an (n, dim) array, each
     row equal to its own code's decode; codes of different bits, mode or seed
-    may be mixed. Raises ValueError unless check_code passes, or when a
+    may be mixed. An empty one holds no config, so it decodes to a (0, 0)
+    array. Raises ValueError unless check_code passes, or when a
     coordinate of the decode lies beyond the float64 range. Each stage is
     checked once, the residual inside residual_dequant.
     """
@@ -89,7 +90,8 @@ def dequantize_two_stage(code) -> np.ndarray:
         vquant.check_code(code.base, code.config)
         return code.config
 
-    return _decode_rows(*_as_rows(code), check_row, lambda config: config.dim, _dequant_chunk)
+    return _decode_rows(*_as_rows(code), check_row,
+                        lambda config: config.dim if config else 0, _dequant_chunk)
 
 
 def _dequant_chunk(codes, config: QuantConfig, out) -> None:

@@ -14,6 +14,7 @@ batch of one, so every code and every decode comes from the same path and
 a row's result does not depend on the rows beside it.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -126,16 +127,13 @@ _DECODE_CHECK_NORM = 2.0**700
 
 
 def _scale_decoded(rows, norms, directions, out) -> None:
-    # out[i] = norm * direction for the rows i of a decode chunk, one row at a
-    # time, for both decoders; RowError(i) where that overflows.
-    for i, norm, direction in zip(rows, norms, directions):
-        if norm <= _DECODE_CHECK_NORM:
+    # out[i] = norm * direction for the rows i of a decode chunk, for both
+    # decoders; RowError(i) where that overflows.
+    with np.errstate(over="ignore"):
+        for i, norm, direction in zip(rows, norms, directions):
             np.multiply(norm, direction, out=out[i])
-            continue
-        with np.errstate(over="ignore"):
-            np.multiply(norm, direction, out=out[i])
-        if not np.isfinite(out[i]).all():
-            raise RowError(i, ValueError("the decoded vector exceeds the float64 range"))
+            if norm > _DECODE_CHECK_NORM and not np.isfinite(out[i]).all():
+                raise RowError(i, ValueError("the decoded vector exceeds the float64 range"))
 
 
 # A batch is encoded and decoded a chunk of rows at a time, so that a chunk's
@@ -151,6 +149,21 @@ _CHUNK_ENTRIES = 2**15
 def chunk_rows(config: QuantConfig) -> int:
     """Rows per chunk of a batch encode or decode under config."""
     return max(1, _CHUNK_ENTRIES // max(config.padded_dim, config.num_levels))
+
+
+def _each_row(items, batch, fn) -> list:
+    """fn(item) for each of items, as a list: the one row loop of every batch
+    entry point. In a batch, a ValueError raised for item i is raised as
+    RowError(i), "row i: ..."; without batch, the one item raises its own."""
+    results = []
+    for i, item in enumerate(items):
+        try:
+            results.append(fn(item))
+        except ValueError as exc:
+            if not batch:
+                raise
+            raise RowError(i, exc) from exc
+    return results
 
 
 def _encode_rows(x, config: QuantConfig, seed, vec_counter, check_row, encode_chunk, decode=None):
@@ -173,27 +186,23 @@ def _encode_rows(x, config: QuantConfig, seed, vec_counter, check_row, encode_ch
     if batch and (np.ndim(x) != 2 or len(rows) != len(counters)):
         raise ValueError(f"a batch is n rows with n counters, got shape {np.shape(x)} "
                          f"with {len(counters)} counters")
-    items = []
-    for i, (row, counter) in enumerate(zip(rows, counters)):
-        try:
-            counter = check_token("vec_counter", counter)
-            items.append((*check_row(row, config), counter))
-        except ValueError as exc:
-            if not batch:
-                raise
-            raise RowError(i, exc) from exc
+
+    def check(item):
+        row, counter = item
+        counter = check_token("vec_counter", counter)
+        return (*check_row(row, config), counter)
+
+    def check_decode(item):
+        (_, norm, _), code = item
+        if norm > _DECODE_CHECK_NORM:
+            decode(code, config)
+
+    items = _each_row(zip(rows, counters), batch, check)
     step = chunk_rows(config)
     codes = []
     for start in range(0, len(items), step):
         codes += encode_chunk(items[start : start + step], config, seed)
-    for i, ((_, norm, _), code) in enumerate(zip(items, codes)):
-        if norm > _DECODE_CHECK_NORM:
-            try:
-                decode(code, config)
-            except ValueError as exc:
-                if not batch:
-                    raise
-                raise RowError(i, exc) from exc
+    _each_row(zip(items, codes), batch, check_decode)
     return codes if batch else codes[0]
 
 
@@ -209,41 +218,31 @@ def _decode_rows(codes, batch, check_row, width, decode_chunk):
     codes is a list of n codes, whose decodes are the n rows of one array,
     each equal to its own code's decode; without batch it holds one code,
     whose decode is returned alone. Each code is checked first by
-    check_row(code), which returns the config it decodes under. Codes are
-    then grouped by config, which must agree on the row width(config), and
-    each group is decoded chunk_rows(config) codes at a time:
-    decode_chunk(codes, config, out) writes their decodes into the rows of
-    out, which start at zero, and raises RowError(j) for its row j. In a
-    batch, a ValueError raised for a code names its row: "row 1: ...".
+    check_row(code), which returns the config it decodes under; every config
+    must agree on the row width(config), and width(None) is the row width of
+    an empty batch. Each run of consecutive codes of one config is then
+    decoded chunk_rows(config) codes at a time: decode_chunk(codes, config,
+    out) writes their decodes into out, the rows of the output they fill,
+    which start at zero, and raises RowError(j) for its row j. In a batch, a
+    ValueError raised for a code names its row: "row 1: ...".
     """
-    groups = {}
-    for i, code in enumerate(codes):
-        try:
-            groups.setdefault(check_row(code), []).append(i)
-        except ValueError as exc:
-            if not batch:
-                raise
-            raise RowError(i, exc) from exc
-    widths = sorted({width(config) for config in groups})
+    configs = _each_row(codes, batch, check_row)
+    widths = sorted({width(config) for config in configs})
     if len(widths) > 1:
         raise ValueError(f"codes decode to mixed dimensions {widths}")
-    out = np.zeros((len(codes), widths[0] if widths else 0))
-    for config, rows in groups.items():
+    out = np.zeros((len(codes), widths[0] if widths else width(None)))
+    end = 0
+    for config, run in itertools.groupby(configs):
+        run_start, end = end, end + len(list(run))
         step = chunk_rows(config)
-        for start in range(0, len(rows), step):
-            chunk = rows[start : start + step]
-            # consecutive rows are decoded in place, others through a block
-            block = out[chunk[0] : chunk[-1] + 1]
-            if len(block) != len(chunk):
-                block = np.zeros((len(chunk), out.shape[1]))
+        for start in range(run_start, end, step):
+            stop = min(start + step, end)
             try:
-                decode_chunk([codes[i] for i in chunk], config, block)
+                decode_chunk(codes[start:stop], config, out[start:stop])
             except RowError as exc:
                 if not batch:
                     raise exc.error from None
-                raise RowError(chunk[exc.row], exc.error) from exc.error
-            if block.base is not out:
-                out[chunk] = block
+                raise RowError(start + exc.row, exc.error) from exc.error
     return out if batch else out[0]
 
 
@@ -317,14 +316,14 @@ def vector_dequant(code, config: QuantConfig) -> np.ndarray:
     """Decode a VectorCode back to a length-dim vector; check_code judges it first.
 
     A list or tuple of n codes decodes to an (n, dim) array, each row equal
-    to its own code's decode. Raises ValueError when a coordinate of the
-    decode lies beyond the float64 range.
+    to its own code's decode; an empty one to a (0, dim) array. Raises
+    ValueError when a coordinate of the decode lies beyond the float64 range.
     """
     def check_row(code):
         check_code(code, config)
         return config
 
-    return _decode_rows(*_as_rows(code), check_row, lambda config: config.dim, _dequant_chunk)
+    return _decode_rows(*_as_rows(code), check_row, lambda _: config.dim, _dequant_chunk)
 
 
 def _dequant_chunk(codes, config: QuantConfig, out) -> None:

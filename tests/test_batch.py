@@ -276,6 +276,31 @@ def test_a_batch_decode_builds_one_table_stack_per_chunk(monkeypatch, dim, bits,
     assert sizes == stacks
 
 
+def test_a_batch_decode_runs_each_stretch_of_one_config_in_its_own_chunks(monkeypatch):
+    # configs A, A, B, A, A: three runs, each decoded in place in one chunk
+    a, b = QuantConfig(50, 2), QuantConfig(50, 3)
+    rng = np.random.default_rng(99)
+    codes = [quantize_two_stage(rng.standard_normal(50), cfg, 3, counter)
+             for counter, cfg in enumerate([a, a, b, a, a])]
+    singles = [dequantize_two_stage(code).tobytes() for code in codes]
+    sizes = []
+    build = vquant.build_codebook
+    monkeypatch.setattr(vquant, "build_codebook",
+                        lambda mode, levels, dither: sizes.append(len(dither)) or
+                        build(mode, levels, dither))
+    assert [row.tobytes() for row in dequantize_two_stage(codes)] == singles
+    assert sizes == [2, 1, 2]
+    assert [row.tobytes() for row in decode_payload([encode(c) for c in codes])] == singles
+
+
+def test_an_empty_batch_decode_has_the_row_width_of_its_config():
+    cfg = QuantConfig(5, 3)
+    assert vector_dequant([], cfg).shape == (0, 5)
+    assert residual_dequant([], cfg, [], []).shape == (0, 8)
+    # no code, so no config and no width
+    assert dequantize_two_stage([]).shape == decode_payload([]).shape == (0, 0)
+
+
 def test_a_failing_code_raises_its_own_error_naming_the_row():
     # bits 16 runs one row a chunk, so row 2 is the first row of the third
     # chunk and of the residual_dequant call made for it
@@ -288,8 +313,13 @@ def test_a_failing_code_raises_its_own_error_naming_the_row():
     two_stage = [codes[0], dataclasses.replace(codes[1], base=bad_norm)]
     two_stage_residual = [*codes[:2], dataclasses.replace(codes[2], residual=bad_levels)]
     payloads = [encode(codes[0]), bytes(4), encode(codes[2])]
+    # a decode beyond float64 in the third chunk: the top level of every
+    # coordinate at a stored norm of 1e308
+    overflow = dataclasses.replace(codes[2].base, indices=np.full(4, 65535, np.uint16), norm=1e308)
     cases = [  # (batch call, the failing row's own call, row)
         (lambda: vector_dequant(bases, cfg), lambda: vector_dequant(bad_norm, cfg), 1),
+        (lambda: vector_dequant([codes[0].base, codes[1].base, overflow], cfg),
+         lambda: vector_dequant(overflow, cfg), 2),
         (lambda: dequantize_two_stage(two_stage), lambda: dequantize_two_stage(two_stage[1]), 1),
         (lambda: dequantize_two_stage(two_stage_residual),
          lambda: dequantize_two_stage(two_stage_residual[2]), 2),

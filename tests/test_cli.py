@@ -209,10 +209,11 @@ def test_bench_explicit_zero_is_rejected(flag, capsys):
 @pytest.mark.parametrize("content, text, message", [
     (b"\n  \n", True, "no vectors found"),
     (b"1 2\n3\n", True, "inconsistent vector lengths"),
+    (b"1 2 3\n4 x 6\n", True, "vectors:2: could not convert string to float: 'x'"),
     (struct.pack("<4sII", b"HQVX", 1, 1) + bytes(8), False, "bad magic"),
     (struct.pack("<4sII", b"HQVF", 0, 3), False, "empty vector file"),
     (struct.pack("<4sII", b"HQVF", 1, 2) + bytes(8), False, "expected 28 bytes, found 20"),
-], ids=["no-vectors", "mixed-widths", "bad-magic", "empty", "wrong-byte-count"])
+], ids=["no-vectors", "mixed-widths", "non-numeric", "bad-magic", "empty", "wrong-byte-count"])
 def test_read_vectors_rejects_malformed_files(tmp_path, content, text, message):
     path = tmp_path / "vectors"
     path.write_bytes(content)
