@@ -1,9 +1,15 @@
 """Benchmark suites: measured statistics against their theoretical constants.
 
 Each suite returns ExperimentRow records, which carry no time: the caller
-times a suite. All randomness is keyed by (seed, trial index) and the trials
-run in order in one process, so a suite called again with the same arguments
-returns equal rows, bit for bit.
+times a suite. All randomness is keyed by (seed, trial index), so a suite
+called again with the same arguments returns equal rows, bit for bit.
+
+The trials run in groups of _CHUNK, and each group in sub-batches of
+chunk_rows(config) trials: a sub-batch is one batch encode of its trials'
+rows under counters range(lo, hi), and one batch decode. Every per-trial term
+is computed from its own row as a one-trial call would (each 1-D dot product
+per row) and added in trial order within its group, and the group sums are
+added in order, so the rows equal those of a loop over single trials.
 """
 
 import math
@@ -15,7 +21,7 @@ from . import bitstream, oracle, residual
 from .codebook import UNBIASED, build_codebook, cdf, quantize_scalar
 from .transform import check_int, fwht_normalized, stream_rng
 from .twostage import estimate_inner_product, quantize_two_stage
-from .vquant import QuantConfig, vector_dequant, vector_quant
+from .vquant import QuantConfig, chunk_rows, vector_dequant, vector_quant
 
 # Theoretical constants the suites print next to their measurements.
 MSE_CONSTANT = math.pi * math.sqrt(3.0) / 2.0  # distortion coefficient, ~2.72070
@@ -32,7 +38,7 @@ _TAG_BENCH_X = 101
 _TAG_BENCH_Y = 102
 _TAG_BENCH_RATE = 103
 
-_CHUNK = 512
+_CHUNK = 512  # trials per group of a suite's sums; the golden CSV digests pin it
 
 
 @dataclass
@@ -64,22 +70,30 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _trial_range(trials: int) -> range:
-    return range(check_int("trials", trials, 1, math.inf))
-
-
-def _chunked_sum(trials: int, term):
-    # Sum of term(trial) over the trials, a float or an array: the terms are
-    # added per group of _CHUNK trials, then the group sums in order. One
-    # running total would change the last bits of `measured` above _CHUNK
-    # trials, and the golden CSV digests pin those bits. Starting from 0.0
-    # adds exactly as a zero array would.
-    every = _trial_range(trials)
-    total = 0.0
+def _sub_batches(trials: int, config: QuantConfig):
+    # The trials as groups of _CHUNK, each a list of the counter ranges of its
+    # sub-batches of at most chunk_rows(config) trials, which keep a batch's
+    # arrays as small as the codec's own chunks.
+    trials = check_int("trials", trials, 1, math.inf)
+    step = chunk_rows(config)
     for lo in range(0, trials, _CHUNK):
+        hi = min(lo + _CHUNK, trials)
+        yield [range(start, min(start + step, hi)) for start in range(lo, hi, step)]
+
+
+def _grouped_sum(trials: int, config: QuantConfig, terms):
+    # Sum over the trials of terms(counters), the per-trial terms of a
+    # sub-batch, each a float or an array: added in trial order per group,
+    # then the group sums in order. One running total would change the last
+    # bits of `measured` above _CHUNK trials, and the golden CSV digests pin
+    # those bits. Starting from 0.0 adds exactly as a zero array would. No
+    # builtin sum(): from Python 3.12 on it compensates float rounding.
+    total = 0.0
+    for group in _sub_batches(trials, config):
         part = 0.0
-        for trial in every[lo : lo + _CHUNK]:
-            part += term(trial)
+        for counters in group:
+            for term in terms(counters):
+                part += term
         total += part
     return total
 
@@ -106,11 +120,12 @@ def mse_suite(dim, bits, trials, seed, mode=UNBIASED):
         else:
             x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
 
-        def squared_error(trial):
-            err = x - vector_dequant(vector_quant(x, cfg, seed, trial), cfg)
-            return float(err @ err)
+        def squared_errors(counters):
+            batch = np.broadcast_to(x, (len(counters), dim))
+            errors = x - vector_dequant(vector_quant(batch, cfg, seed, counters), cfg)
+            return [float(err @ err) for err in errors]
 
-        measured = 4.0**bits * _chunked_sum(trials, squared_error) / trials
+        measured = 4.0**bits * _grouped_sum(trials, cfg, squared_errors) / trials
         floor = MSE_WINDOW[0] if kind == "random-unit" else -math.inf
         rows.append(
             ExperimentRow(
@@ -167,11 +182,12 @@ def unbiased_suite(dim, bits, trials, seed):
     cfg = QuantConfig(dim=dim, bits=bits, mode=UNBIASED)
     x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
 
-    def moments(trial):
-        decoded = vector_dequant(vector_quant(x, cfg, seed, trial), cfg)
-        return np.stack([decoded, decoded * decoded])
+    def moments(counters):
+        batch = np.broadcast_to(x, (len(counters), dim))
+        decoded = vector_dequant(vector_quant(batch, cfg, seed, counters), cfg)
+        return np.stack([decoded, decoded * decoded], axis=1)
 
-    acc, acc_sq = _chunked_sum(trials, moments)
+    acc, acc_sq = _grouped_sum(trials, cfg, moments)
     mean = acc / trials
     var = np.maximum(acc_sq / trials - mean * mean, 1e-300)
     stderr = np.sqrt(var / trials)
@@ -210,12 +226,14 @@ def inner_product_suite(dim, bits, trials, seed, mode=UNBIASED):
     cfg = QuantConfig(dim=dim, bits=bits, mode=mode)
     x = _random_unit(stream_rng(seed, (_TAG_BENCH_X, 0)), dim)
 
-    def squared_error(trial):
-        y = _random_unit(stream_rng(seed, (_TAG_BENCH_Y, trial)), dim)
-        err = estimate_inner_product(quantize_two_stage(x, cfg, seed, trial), y) - float(y @ x)
-        return err * err
+    def squared_errors(counters):
+        codes = quantize_two_stage(np.broadcast_to(x, (len(counters), dim)), cfg, seed, counters)
+        ys = np.array([_random_unit(stream_rng(seed, (_TAG_BENCH_Y, t)), dim) for t in counters])
+        products = estimate_inner_product(codes, ys).tolist()
+        errors = [ip - float(y @ x) for ip, y in zip(products, ys)]
+        return [err * err for err in errors]
 
-    measured = dim * 4.0**bits * _chunked_sum(trials, squared_error) / trials
+    measured = dim * 4.0**bits * _grouped_sum(trials, cfg, squared_errors) / trials
     return [
         ExperimentRow(
             "inner-product/error",
@@ -237,10 +255,12 @@ def rate_suite(dim, bits, trials, seed, mode=UNBIASED):
     cfg = QuantConfig(dim=dim, bits=bits, mode=mode)
     budget = cfg.padded_dim * (bits + 1) + math.floor(residual.LEVEL_SUM_COEFF * cfg.padded_dim)
     worst = 0
-    for trial in _trial_range(trials):
-        x = _random_unit(stream_rng(seed, (_TAG_BENCH_RATE, trial)), dim)
-        report = bitstream.rate_report(quantize_two_stage(x, cfg, seed, trial))
-        worst = max(worst, report["total_bits"] - report["header_bits"])
+    for group in _sub_batches(trials, cfg):
+        for counters in group:
+            x = np.array([_random_unit(stream_rng(seed, (_TAG_BENCH_RATE, t)), dim) for t in counters])
+            for code in quantize_two_stage(x, cfg, seed, counters):
+                report = bitstream.rate_report(code)
+                worst = max(worst, report["total_bits"] - report["header_bits"])
     return [
         ExperimentRow(
             "rate/max-body-bits",

@@ -22,6 +22,7 @@ from .vquant import (
     _check_input,
     _decode_padded_unit,
     _decode_rows,
+    _each_row,
     _encode_rows,
     _quantize_chunk,
     _scale_decoded,
@@ -111,15 +112,30 @@ def _dequant_chunk(codes, config: QuantConfig, out) -> None:
         _scale_decoded(live, [bases[j].norm for j in live], total, out)
 
 
-def estimate_inner_product(code: TwoStageCode, y) -> float:
+def estimate_inner_product(code, y):
     """Inner product of a real, finite y of length config.dim with the decoded vector.
 
-    Raises ValueError when that product lies beyond the float64 range.
+    A list or tuple of n codes of one dim takes an (n, dim) array of query
+    rows and returns the array of their n products, each equal to its own
+    code's call; an empty one returns a (0,) array. Raises ValueError when a
+    product lies beyond the float64 range; in a batch, a ValueError raised for
+    a code or its query names its row: "row 1: ...".
     """
-    y = check_vector("query vector", y, code.config.dim)
+    codes, batch = _as_rows(code)
+    if batch and (np.ndim(y) != 2 or len(y) != len(codes)):
+        raise ValueError(f"a batch is n codes with n query rows, got {len(codes)} codes "
+                         f"with queries of shape {np.shape(y)}")
+    queries = _each_row(zip(codes, y if batch else [y]), batch,
+                        lambda item: check_vector("query vector", item[1], item[0].config.dim))
     decoded = dequantize_two_stage(code)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ip = float(y @ decoded)
-    if not np.isfinite(ip):
-        raise ValueError("the inner product with the query vector exceeds the float64 range")
-    return ip
+
+    def product(item):
+        y, row = item
+        with np.errstate(over="ignore", invalid="ignore"):
+            ip = float(y @ row)
+        if not np.isfinite(ip):
+            raise ValueError("the inner product with the query vector exceeds the float64 range")
+        return ip
+
+    products = _each_row(zip(queries, decoded if batch else [decoded]), batch, product)
+    return np.array(products) if batch else products[0]

@@ -200,3 +200,57 @@ def test_two_stage_decode_checks_each_stage_once(monkeypatch):
         calls.clear()
         dequantize_two_stage(code)
         assert sorted(calls) == ["hadaquant.residual", "hadaquant.vquant"]
+
+
+def _scored_batch(dim=12, n=7):
+    # n codes of mixed bits and modes, one of them a zero vector, and n queries
+    rng = np.random.default_rng(73)
+    x = rng.standard_normal((n, dim))
+    x[2] = 0.0
+    codes = [quantize_two_stage(row, QuantConfig(dim, 2 + i % 5, ("biased", "unbiased")[i % 2]),
+                                9, 40 + i) for i, row in enumerate(x)]
+    return codes, rng.standard_normal((n, dim))
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+def test_a_batch_of_codes_scores_each_query_as_its_own_call(container):
+    codes, ys = _scored_batch()
+    products = estimate_inner_product(container(codes), ys)
+    assert products.shape == (len(codes),) and products.dtype == np.float64
+    assert products.tolist() == [estimate_inner_product(c, y) for c, y in zip(codes, ys)]
+    (one,) = estimate_inner_product(container(codes[:1]), ys[:1])
+    assert one == estimate_inner_product(codes[0], ys[0])
+    assert products[2] == 0.0
+
+
+def test_an_empty_batch_scores_to_an_empty_array():
+    products = estimate_inner_product([], np.zeros((0, 12)))
+    assert products.shape == (0,) and products.dtype == np.float64
+
+
+@pytest.mark.parametrize("queries", [
+    lambda ys: ys[:-1],  # one query short
+    lambda ys: np.vstack([ys, ys[:1]]),  # one query over
+    lambda ys: ys[0],  # one vector for the whole batch
+], ids=["short", "long", "one-vector"])
+def test_a_batch_needs_one_query_row_per_code(queries):
+    codes, ys = _scored_batch()
+    with pytest.raises(ValueError, match="a batch is n codes with n query rows"):
+        estimate_inner_product(codes, queries(ys))
+
+
+def test_a_bad_query_or_product_raises_its_own_error_naming_the_row():
+    codes, ys = _scored_batch()
+    ys[4, 3] = np.nan
+    with pytest.raises(vquant.RowError, match="row 4: query vector has NaN") as info:
+        estimate_inner_product(codes, ys)
+    assert info.value.row == 4
+    ys[4, 3] = 0.0
+    with pytest.raises(vquant.RowError, match="row 0: expected query vector of length 12"):
+        estimate_inner_product(codes, ys[:, :8])
+    ys[5] = 1e308 * np.sign(dequantize_two_stage(codes[5]))
+    with pytest.raises(vquant.RowError, match="row 5: the inner product .* exceeds the float64"):
+        estimate_inner_product(codes, ys)
+    bad = dataclasses.replace(codes[3], base=dataclasses.replace(codes[3].base, norm=-1.0))
+    with pytest.raises(vquant.RowError, match="row 3: stored norm"):
+        estimate_inner_product(codes[:3] + [bad], ys[:4])
