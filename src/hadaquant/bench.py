@@ -6,10 +6,11 @@ called again with the same arguments returns equal rows, bit for bit.
 
 The trials run in groups of _CHUNK, and each group in sub-batches of
 chunk_rows(config) trials: a sub-batch is one batch encode of its trials'
-rows under counters range(lo, hi), and one batch decode. Every per-trial term
-is computed from its own row as a one-trial call would (each 1-D dot product
-per row) and added in trial order within its group, and the group sums are
-added in order, so the rows equal those of a loop over single trials.
+rows under counters range(lo, hi), and one batch decode or score where the
+suite decodes. Every per-trial term is computed from its own row as a
+one-trial call would (each 1-D dot product per row) and added in trial
+order within its group, and the group sums are added in order, so the rows
+equal those of a loop over single trials.
 """
 
 import math
@@ -257,8 +258,8 @@ def rate_suite(dim, bits, trials, seed, mode=UNBIASED):
     worst = 0
     for group in _sub_batches(trials, cfg):
         for counters in group:
-            x = np.array([_random_unit(stream_rng(seed, (_TAG_BENCH_RATE, t)), dim) for t in counters])
-            for code in quantize_two_stage(x, cfg, seed, counters):
+            rows = [_random_unit(stream_rng(seed, (_TAG_BENCH_RATE, t)), dim) for t in counters]
+            for code in quantize_two_stage(np.array(rows), cfg, seed, counters):
                 report = bitstream.rate_report(code)
                 worst = max(worst, report["total_bits"] - report["header_bits"])
     return [

@@ -37,7 +37,8 @@ _CASES = [
 
 
 def _call(fn, suite, dim, bits, trials, mode, seed):
-    return fn(dim, bits, trials, seed) if suite == "unbiased" else fn(dim, bits, trials, seed, mode)
+    # the unbiased suite takes no mode
+    return fn(dim, bits, trials, seed, *([] if suite == "unbiased" else [mode]))
 
 
 @pytest.fixture
@@ -108,7 +109,7 @@ def test_a_suite_encodes_and_decodes_once_per_sub_batch(monkeypatch, quick_dithe
 
 
 def test_grouped_sums_add_in_trial_order_from_a_positive_zero():
-    # The terms of trial 0 are -0.0 in column 0, as are every trial's; the
+    # The terms of trial 0 are -0.0 in column 0, as is every trial's; the
     # per-trial loop starts each group from 0.0, so that column sums to +0.0.
     cfg = QuantConfig(100, 4)
     trials = 1100
@@ -117,9 +118,9 @@ def test_grouped_sums_add_in_trial_order_from_a_positive_zero():
     terms[:, :, 0] = -0.0
     terms[0] = -0.0
     scalars = terms[:, 0, 1].tolist()
-    arrays = bench._grouped_sum(trials, cfg, lambda counters: terms[counters.start:counters.stop])
+    arrays = bench._grouped_sum(trials, cfg, lambda sub: terms[sub.start:sub.stop])
     expected = ref.chunked_sum(trials, lambda trial: terms[trial])
     assert arrays.tobytes() == expected.tobytes()
     assert not np.signbit(arrays[:, 0]).any()
-    floats = bench._grouped_sum(trials, cfg, lambda counters: scalars[counters.start:counters.stop])
+    floats = bench._grouped_sum(trials, cfg, lambda sub: scalars[sub.start:sub.stop])
     assert floats == ref.chunked_sum(trials, lambda trial: scalars[trial])
