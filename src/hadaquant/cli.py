@@ -39,7 +39,12 @@ _SUITES = {
 
 
 def write_vectors(path, vectors: np.ndarray, text: bool = False):
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    """Write one vector, or a 2-D array of rows, neither empty, in read_vectors' format."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim not in (1, 2) or 0 in vectors.shape:
+        raise ValueError(f"{path}: need a vector or a 2-D array, neither empty, not shape "
+                         f"{vectors.shape}")
+    vectors = np.atleast_2d(vectors)
     if text:
         with open(path, "w") as fh:
             for row in vectors:

@@ -31,6 +31,23 @@ def test_vector_file_roundtrip_binary_and_text(tmp_path):
         assert np.array_equal(back, vecs)
 
 
+@pytest.mark.parametrize("text", [False, True])
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0,), (), (2, 3, 4)],
+                         ids=["no-rows", "no-columns", "empty-vector", "scalar", "3-d"])
+def test_write_vectors_rejects_a_shape_that_read_vectors_cannot_read(tmp_path, shape, text):
+    # each one wrote a file that read_vectors rejects, or raised after making it
+    path = tmp_path / "vectors"
+    with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+        write_vectors(path, np.zeros(shape), text=text)
+    assert not path.exists()
+
+
+def test_write_vectors_writes_one_vector_as_one_row(tmp_path):
+    for text in (False, True):
+        write_vectors(tmp_path / "v", [1.5, -2.0], text=text)
+        assert np.array_equal(read_vectors(tmp_path / "v", text=text), [[1.5, -2.0]])
+
+
 def test_write_vectors_writes_the_matrix_without_copying_it(tmp_path):
     # the file holds the header and the little-endian rows, whatever the
     # input's layout; a C-ordered float64 matrix is written from its buffer

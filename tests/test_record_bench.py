@@ -99,16 +99,42 @@ def test_micro_code_measures_every_call_in_process():
     exec(record_bench.MICRO_CODE, namespace)
     out = namespace["measure"](64, 3, "biased", rows=4, repeat=1)
     assert set(out) == {"encode_vector_one_us", "quantize_4_rows_us_per_vector",
-                        "decode_payload_one_us", "dequantize_4_rows_us_per_vector"}
+                        "decode_payload_one_us", "dequantize_4_rows_us_per_vector",
+                        "estimate_inner_product_one_us",
+                        "estimate_inner_product_4_rows_us_per_vector"}
     assert all(0.0 < value < 1e6 for value in out.values())
 
 
-def test_micro_row_keeps_each_sides_fastest_round():
-    rounds = [{"parent": {"a": 3.0, "b": 1.0}, "head": {"a": 2.0, "b": 5.0}},
-              {"parent": {"a": 4.0, "b": 0.5}, "head": {"a": 1.5, "b": 6.0}}]
-    assert record_bench.micro_row("64,3,unbiased", rounds) == {
-        "shape": "64,3,unbiased", "rounds": 2,
-        "parent": {"a": 3.0, "b": 0.5}, "head": {"a": 1.5, "b": 5.0},
+def test_micro_code_prints_one_result_that_summarize_reads(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["-c", "64", "3", "unbiased", "2"])
+    exec(record_bench.MICRO_CODE, {"__name__": "__main__"})
+    result = json.loads(capsys.readouterr().out)
+    summary = record_bench.summarize([{"parent": result, "head": result}] * 3)
+    assert list(summary) == list(result["metrics"]) and len(summary) == 6
+
+
+def test_the_commands_run_as_pairs_are_every_workload_and_every_micro_shape():
+    commands = record_bench.pair_commands(BENCHMARK, 2203)
+    assert list(commands) == ([w["name"] for w in BENCHMARK["workloads"]]
+                              + [f"{d},{b},{m}" for d, b, m in record_bench.MICRO_SHAPES])
+    assert commands == {**record_bench.bench_commands(BENCHMARK, 2203),
+                        **record_bench.micro_commands()}
+
+
+def test_a_micro_shape_is_summarized_from_its_pairs_lower_is_better_and_unbounded():
+    def timings(us):
+        return {"metrics": {"quantize_us": {"value": us}, "decode_us": {"value": 2 * us}}}
+
+    parent = [100.0 + i for i in range(10)]
+    # the head is faster in pairs 0-6 and slower in 7-9, by far more than any bound
+    head = [p - 1.0 if i < 7 else 3 * p for i, p in enumerate(parent)]
+    summary = record_bench.summarize([{"parent": timings(p), "head": timings(h)}
+                                      for p, h in zip(parent, head)])
+    assert summary == {
+        "quantize_us": {"parent_median": 104.5, "parent_quartiles": [102.25, 106.75],
+                        "head_median": 103.5, "head_wins": 7, "pairs": 10},
+        "decode_us": {"parent_median": 209.0, "parent_quartiles": [204.5, 213.5],
+                      "head_median": 207.0, "head_wins": 7, "pairs": 10},
     }
 
 

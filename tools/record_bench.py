@@ -4,31 +4,29 @@
 
 Each rev is run from a fresh ``git clone`` of this repository in a temporary
 directory (set TMPDIR to choose where). BENCHMARK.json defines the benchmark:
-its ``command``, ``workloads``, ``run_seconds`` and ``end_to_end`` metrics. Each
-workload runs PAIRS pairs: pair i runs ``<command> --workload <w> --seed
-<100*pr + i> --seconds <run_seconds> --trace 0`` on both revs, the parent first
-in even pairs and the head first in odd ones, so that drift over time does not
-land on one side only. The last line, one JSON object, of every run is kept,
-and the ``env:`` line of each rev's first run. For each workload and
-end-to-end metric the file then records the parent's median and quartiles, the
-head's median, the pairs the head wins by the metric's ``better`` (a tie counts
-for neither side), and whether the head's median is worse than the parent's by
-more than the metric's relative ``bound``. Tier-1 then runs once per rev, and
-its summary line and the ``--durations=10`` table that pyproject.toml asks for
-are kept. A micro table then times four public calls with ``timeit`` at
-each rev, per (dim, bits, mode) of MICRO_SHAPES: ``cli.encode_vector`` of one
-vector, ``hadaquant quantize`` of a MICRO_ROWS-row vector file,
-``cli.decode_payload`` of one payload, and ``hadaquant dequantize`` of the
-MICRO_ROWS-payload directory that quantize wrote, per vector. Each shape runs MICRO_ROUNDS rounds of one child process per rev,
-the side that runs first alternating as in the pairs, and keeps each
-side's fastest round. The file also records ``src_lines``, the line count
-of each ``src/hadaquant/*.py`` file of each rev and their total, as ``wc -l``
-counts them. Both the benchmark and tier-1 run under the interpreter that
-runs this script, which takes the place of the command's ``python3``. The file is written to
-BENCH_<pr>.json at the repository root. Standard library only; it imports
-nothing from the benchmark or the package (MICRO_CODE, which does, runs in a
-child process of each rev). Ten pairs of two 55-s workloads take about 40
-minutes on a 2-CPU host, the micro table about three more.
+its ``command``, ``workloads``, ``run_seconds`` and ``end_to_end`` metrics.
+Each workload, then each (dim, bits, mode) of MICRO_SHAPES, runs PAIRS pairs:
+pair i runs one command on both revs, the parent first in even pairs and the
+head first in odd ones, so that drift over time does not land on one side
+only. A workload runs ``<command> --workload <w> --seed <100*pr + i>
+--seconds <run_seconds> --trace 0``; a micro shape runs MICRO_CODE, which
+takes no seed and times public calls in-process with ``timeit``, per vector.
+The last line, one JSON object, of every run is kept, and the ``env:`` line
+of each rev's first workload run. For each workload or shape and each metric
+the file then records the parent's median and quartiles, the head's median
+and the pairs the head wins by the metric's ``better`` (a tie counts for
+neither side). A workload's metrics are the end-to-end ones, and each also records
+whether the head's median is worse than the parent's by more than the
+metric's relative ``bound``; a shape's timings are lower-is-better, unbounded.
+Tier-1 then runs once per rev, and its summary line and the
+``--durations=10`` table that pyproject.toml asks for are kept. The file also
+records ``src_lines``, the line count of each ``src/hadaquant/*.py`` file of
+each rev and their total, as ``wc -l`` counts them. Every command runs under
+the interpreter that runs this script, which takes the place of ``python3``.
+The file is written to BENCH_<pr>.json at the repository root. Standard
+library only; it imports nothing from the benchmark or the package
+(MICRO_CODE, which does, runs in a child process of each rev). On a 2-CPU
+host the workloads take about 40 minutes and the micro shapes about 30 more.
 """
 
 import json
@@ -49,16 +47,17 @@ DURATION = re.compile(r"^([0-9.]+)s (setup|call|teardown)\s+(.+)$")  # node ids 
 MICRO_SHAPES = [(64, 3, "unbiased"), (1024, 6, "unbiased"), (4096, 4, "unbiased"),
                 (64, 16, "unbiased"), (4096, 4, "biased")]
 MICRO_ROWS = 1000
-MICRO_ROUNDS = 3
-# Run as ``python -c MICRO_CODE dim bits mode rows`` with the rev's src/ on
-# PYTHONPATH; prints one JSON object of microseconds per vector. All four
-# calls exist, with these arguments, at every rev since the CLI's quantize
-# and dequantize commands.
+# Run as ``python -c MICRO_CODE dim bits mode rows`` in a rev's checkout, whose
+# src/ it puts first on sys.path; prints one line shaped as an hqbench result,
+# {"metrics": {name: {"value": microseconds per vector}}}. The batch scorer
+# exists from commit ed82038 on, the other calls since the CLI's quantize and
+# dequantize commands.
 MICRO_CODE = """
 import contextlib, io, json, sys, tempfile, timeit
 from pathlib import Path
 import numpy as np
-from hadaquant import cli
+sys.path.insert(0, "src")
+from hadaquant import cli, decode, estimate_inner_product
 from hadaquant.vquant import QuantConfig
 
 
@@ -95,12 +94,22 @@ def measure(dim, bits, mode, rows, repeat=5):
 
         best = min(timeit.repeat(dequantize, number=1, repeat=repeat))
         out[f"dequantize_{rows}_rows_us_per_vector"] = 1e6 * best / rows
+        # hqbench's score phase: codes decoded from the payloads, one query each
+        batch = [decode((codes / f"vec_{i:05d}.hq").read_bytes()) for i in range(rows)]
+        queries = np.random.default_rng(dim * 100 + bits + 1).standard_normal((rows, dim))
+        one = timeit.Timer(lambda: estimate_inner_product(batch[0], queries[0]))
+        number = max(1, int(0.2 / one.timeit(1)))
+        out["estimate_inner_product_one_us"] = 1e6 * min(one.repeat(repeat, number)) / number
+        best = min(timeit.repeat(lambda: estimate_inner_product(batch, queries), number=1,
+                                 repeat=repeat))
+        out[f"estimate_inner_product_{rows}_rows_us_per_vector"] = 1e6 * best / rows
     return out
 
 
 if __name__ == "__main__":
     dim, bits, mode, rows = sys.argv[1:]
-    print(json.dumps(measure(int(dim), int(bits), mode, int(rows))))
+    out = measure(int(dim), int(bits), mode, int(rows))
+    print(json.dumps({"metrics": {name: {"value": us} for name, us in out.items()}}))
 """
 
 
@@ -121,10 +130,17 @@ def bench_commands(benchmark: dict, seed: int | str) -> dict[str, list[str]]:
             for w in benchmark["workloads"]}
 
 
-def run_bench(checkout: Path, cmd: list[str]) -> tuple[dict, dict]:
+def pair_commands(benchmark: dict, seed: int) -> dict[str, list[str]]:
+    """Every command run as PAIRS pairs: each workload's at seed, then each micro shape's."""
+    return {**bench_commands(benchmark, seed), **micro_commands()}
+
+
+def run_bench(checkout: Path, cmd: list[str]) -> tuple[dict | None, dict]:
+    """The ``env:`` line (None without one) and the last line, both JSON, of cmd's output."""
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout
     lines = out.splitlines()
-    env = next(json.loads(line[len("env: "):]) for line in lines if line.startswith("env: "))
+    env = next((json.loads(line[len("env: "):]) for line in lines if line.startswith("env: ")),
+               None)
     return env, json.loads(lines[-1])
 
 
@@ -156,36 +172,24 @@ def micro_commands() -> dict[str, list[str]]:
             for dim, bits, mode in MICRO_SHAPES}
 
 
-def run_micro(checkout: Path, cmd: list[str]) -> dict:
-    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": "src"}).stdout
-    return json.loads(out.splitlines()[-1])
-
-
-def micro_row(shape: str, rounds: list[dict]) -> dict:
-    """One micro-table row from its rounds, each {"parent": timings, "head": timings}.
-
-    Keeps each side's fastest time per call, the least disturbed by the host.
-    """
-    return {"shape": shape, "rounds": len(rounds),
-            **{side: {key: min(r[side][key] for r in rounds) for key in rounds[0][side]}
-               for side in ("parent", "head")}}
-
-
 def pair_order(i: int) -> tuple[str, str]:
     """The sides of pair i in run order: the parent first in even pairs."""
     return ("parent", "head") if i % 2 == 0 else ("head", "parent")
 
 
-def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per-metric verdicts over the pairs of one workload.
+def summarize(pairs: list[dict], end_to_end: list[dict] | None = None) -> dict:
+    """Per-metric verdicts over the pairs of one workload or micro shape.
 
     Each pair is ``{"parent": result, "head": result}``, a result being the
     last JSON line of a run; end_to_end is BENCHMARK.json's list of metrics,
     each with ``name``, ``better`` ("higher" or "lower") and a relative
-    ``bound``. Quartiles are statistics.quantiles' inclusive ones.
+    ``bound``. Without it, every metric of the results is a micro timing:
+    lower is better, and with no bound there is no ``worse_than_bound``.
+    Quartiles are statistics.quantiles' inclusive ones.
     """
     out = {}
+    if end_to_end is None:
+        end_to_end = [{"name": name, "better": "lower"} for name in pairs[0]["parent"]["metrics"]]
     for metric in end_to_end:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
         before, after = ([p[side]["metrics"][name]["value"] for p in pairs]
@@ -198,8 +202,9 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "head_median": head,
             "head_wins": sum(sign * (h - p) > 0 for p, h in zip(before, after)),
             "pairs": len(pairs),
-            "worse_than_bound": sign * (head - parent) < -metric["bound"] * abs(parent),
         }
+        if "bound" in metric:
+            out[name]["worse_than_bound"] = sign * (head - parent) < -metric["bound"] * abs(parent)
     return out
 
 
@@ -218,35 +223,28 @@ def main(argv: list[str]) -> int:
         return 2
     pr, revs = int(argv[0]), {"parent": argv[1], "head": argv[2]}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    env, runs, tier1 = {}, {workload: [] for workload in bench_commands(benchmark, 0)}, {}
+    end_to_end = benchmark["end_to_end"]
+    env, runs, tier1 = {}, {name: [] for name in pair_commands(benchmark, 0)}, {}
     with tempfile.TemporaryDirectory(prefix="record_bench-") as tmp:
         checkouts = {side: clone(rev, Path(tmp) / side) for side, rev in revs.items()}
         lines = {side: src_lines(checkout) for side, checkout in checkouts.items()}
-        for workload in runs:
+        for name in runs:
             for i in range(PAIRS):
                 seed, pair = 100 * pr + i, {}
-                cmd = bench_commands(benchmark, seed)[workload]
+                cmd = pair_commands(benchmark, seed)[name]
                 for side in pair_order(i):
-                    print(f"{workload} pair {i} {side} ...", file=sys.stderr, flush=True)
+                    print(f"{name} pair {i} {side} ...", file=sys.stderr, flush=True)
                     side_env, pair[side] = run_bench(checkouts[side], cmd)
-                    env.setdefault(side, side_env)
-                runs[workload].append({"seed": seed, "first": pair_order(i)[0], **pair})
-        micro = []
-        for i, (shape, cmd) in enumerate(micro_commands().items()):
-            rounds = []
-            for j in range(MICRO_ROUNDS):
-                rounds.append({})
-                for side in pair_order(i + j):
-                    print(f"micro {shape} round {j} {side} ...", file=sys.stderr, flush=True)
-                    rounds[-1][side] = run_micro(checkouts[side], cmd)
-            micro.append(micro_row(shape, rounds))
+                    if side_env is not None:
+                        env.setdefault(side, side_env)
+                runs[name].append({"seed": seed, "first": pair_order(i)[0], **pair})
         for side, checkout in checkouts.items():
             print(f"{side} tier-1 ...", file=sys.stderr, flush=True)
             tier1[side] = run_tier1(checkout)
     record = {
-        "what": "hqbench end-to-end metrics (last JSON line of hqbench/run.py) over "
-                f"{PAIRS} pairs per workload, their per-metric summary, and tier-1 pytest "
-                "durations, at the parent commit and at the change",
+        "what": "hqbench end-to-end metrics (last JSON line of hqbench/run.py) and micro "
+                f"timings over {PAIRS} pairs per workload or shape, their per-metric summary, "
+                "and tier-1 pytest durations, at the parent commit and at the change",
         "commands": {
             "bench": [" ".join(["python", *cmd[1:]])
                       for cmd in bench_commands(benchmark, f"<{100 * pr}+i>").values()],
@@ -255,18 +253,12 @@ def main(argv: list[str]) -> int:
         "machine": {"cpu_model": cpu_model(), "note": f"{os.cpu_count()} CPUs"},
         "revs": revs,
         "env": env,
-        "summary": {workload: summarize(pairs, benchmark["end_to_end"])
-                    for workload, pairs in runs.items()},
+        "summary": {name: summarize(pairs, None if name in micro_commands() else end_to_end)
+                    for name, pairs in runs.items()},
         "runs": runs,
         "src_lines": lines,
-        "micro": {
-            "what": "timeit minimum over 5 repeats in each of "
-                    f"{MICRO_ROUNDS} alternating rounds, microseconds per vector: "
-                    "cli.encode_vector of one vector, `hadaquant quantize` of a "
-                    f"{MICRO_ROWS}-row file, cli.decode_payload of one payload, and "
-                    f"`hadaquant dequantize` of the {MICRO_ROWS}-payload directory",
-            "rows": micro,
-        },
+        "micro": "summary and runs of a \"dim,bits,mode\" hold MICRO_CODE's timings of the "
+                 "calls their names give: a timeit minimum over 5 repeats, in us per vector",
         "tier1": tier1,
     }
     out = ROOT / f"BENCH_{pr}.json"
