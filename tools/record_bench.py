@@ -15,9 +15,9 @@ The last line, one JSON object, of every run is kept, and the ``env:`` line
 of each rev's first workload run. For each workload or shape and each metric
 the file then records the parent's median and quartiles, the head's median
 and the pairs the head wins by the metric's ``better`` (a tie counts for
-neither side). A workload's metrics are the end-to-end ones, and each also records
-whether the head's median is worse than the parent's by more than the
-metric's relative ``bound``; a shape's timings are lower-is-better, unbounded.
+neither side). A workload's metrics are the end-to-end ones, and each also
+records whether the head's median is worse than the parent's by more than
+the metric's relative ``bound``; a shape's timings, lower-is-better, have none.
 Tier-1 then runs once per rev, and its summary line and the
 ``--durations=10`` table that pyproject.toml asks for are kept. The file also
 records ``src_lines``, the line count of each ``src/hadaquant/*.py`` file of
@@ -26,7 +26,7 @@ the interpreter that runs this script, which takes the place of ``python3``.
 The file is written to BENCH_<pr>.json at the repository root. Standard
 library only; it imports nothing from the benchmark or the package
 (MICRO_CODE, which does, runs in a child process of each rev). On a 2-CPU
-host the workloads take about 40 minutes and the micro shapes about 30 more.
+host the workloads take about 40 minutes and the micro shapes about 17 more.
 """
 
 import json
