@@ -164,9 +164,14 @@ def residual_dequant(code, config: QuantConfig, seed, vec_counter) -> np.ndarray
     """
     codes, batch = _as_rows(code)
     seeds, counters = (seed, vec_counter) if batch else ([seed], [vec_counter])
-    if not len(seeds) == len(counters) == len(codes):
+    try:
+        lengths = len(seeds), len(counters)
+    except TypeError:  # a scalar token has no length
+        lengths = None
+    if lengths != (len(codes), len(codes)):
+        got = f"{lengths[0]} seeds and {lengths[1]} counters" if lengths else "a scalar token"
         raise ValueError(f"a batch is n codes with n seeds and n counters, got {len(codes)} "
-                         f"codes with {len(seeds)} seeds and {len(counters)} counters")
+                         f"codes with {got}")
 
     def check_row(item):
         code, seed, vec_counter = item

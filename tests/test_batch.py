@@ -346,8 +346,9 @@ def test_a_batch_decode_needs_one_dim_and_one_token_pair_per_code():
     with pytest.raises(ValueError, match=r"codes decode to mixed dimensions \[4, 6\]"):
         dequantize_two_stage(codes)
     residuals = [code.residual for code in codes[::2]]
-    with pytest.raises(ValueError, match="n codes with n seeds and n counters"):
-        residual_dequant(residuals, codes[0].config, [0, 0], [0])
+    for batch, seeds, counters in ((residuals, [0, 0], [0]), (residuals[:1], 0, 0), ([], 0, 0)):
+        with pytest.raises(ValueError, match="n codes with n seeds and n counters"):
+            residual_dequant(batch, codes[0].config, seeds, counters)
 
 
 def test_a_batch_decode_derives_no_randomness_for_zero_rows(monkeypatch):

@@ -10,7 +10,11 @@ pair i runs one command on both revs, the parent first in even pairs and the
 head first in odd ones, so that drift over time does not land on one side
 only. A workload runs ``<command> --workload <w> --seed <100*pr + i>
 --seconds <run_seconds> --trace 0``; a micro shape runs MICRO_CODE, which
-takes no seed and times public calls in-process with ``timeit``, per vector.
+takes no seed and times public calls in-process with ``timeit``, per vector:
+encode_vector, decode_payload and estimate_inner_product, each on one vector
+and on a batch of MICRO_ROWS, each row the minimum over 5 repeats of as many
+calls as the first call says take 0.2 s. No micro row reads or writes a file;
+the CLI over a vector file is timed by the workloads' store and load phases.
 The last line, one JSON object, of every run is kept, and the ``env:`` line
 of each rev's first workload run. For each workload or shape and each metric
 the file then records the parent's median and quartiles, the head's median
@@ -26,7 +30,8 @@ the interpreter that runs this script, which takes the place of ``python3``.
 The file is written to BENCH_<pr>.json at the repository root. Standard
 library only; it imports nothing from the benchmark or the package
 (MICRO_CODE, which does, runs in a child process of each rev). On a 2-CPU
-host the workloads take about 40 minutes and the micro shapes about 17 more.
+host the workloads take about 40 minutes and the micro shapes about 21 more
+(about 61 s per side for the five shapes, one run each).
 """
 
 import json
@@ -43,18 +48,17 @@ PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 DURATION = re.compile(r"^([0-9.]+)s (setup|call|teardown)\s+(.+)$")  # node ids may hold spaces
 
-# The micro table's (dim, bits, mode) shapes and its vector-file size.
+# The micro table's (dim, bits, mode) shapes and its batch size.
 MICRO_SHAPES = [(64, 3, "unbiased"), (1024, 6, "unbiased"), (4096, 4, "unbiased"),
                 (64, 16, "unbiased"), (4096, 4, "biased")]
 MICRO_ROWS = 1000
 # Run as ``python -c MICRO_CODE dim bits mode rows`` in a rev's checkout, whose
 # src/ it puts first on sys.path; prints one line shaped as an hqbench result,
-# {"metrics": {name: {"value": microseconds per vector}}}. The batch scorer
-# exists from commit ed82038 on, the other calls since the CLI's quantize and
-# dequantize commands.
+# {"metrics": {name: {"value": microseconds per vector}}}. Batch encode_vector
+# exists from commit 72a8fea on, batch decode_payload from cf1c61c and the
+# batch scorer from ed82038.
 MICRO_CODE = """
-import contextlib, io, json, sys, tempfile, timeit
-from pathlib import Path
+import json, sys, timeit
 import numpy as np
 sys.path.insert(0, "src")
 from hadaquant import cli, decode, estimate_inner_product
@@ -64,45 +68,25 @@ from hadaquant.vquant import QuantConfig
 def measure(dim, bits, mode, rows, repeat=5):
     cfg = QuantConfig(dim, bits, mode)
     x = np.random.default_rng(dim * 100 + bits).standard_normal((rows, dim))
-    one = timeit.Timer(lambda: cli.encode_vector(x[0], cfg, 1, 0))
-    number = max(1, int(0.2 / one.timeit(1)))
-    out = {"encode_vector_one_us": 1e6 * min(one.repeat(repeat, number)) / number}
-    with tempfile.TemporaryDirectory() as tmp:
-        cli.write_vectors(Path(tmp) / "in.vec", x)
-        runs = iter(range(repeat))
-        argv = ["quantize", "--input", str(Path(tmp) / "in.vec"), "--bits", str(bits),
-                "--mode", mode, "--seed", "1", "--output"]
-
-        def quantize():
-            with contextlib.redirect_stdout(io.StringIO()):
-                if cli.main(argv + [str(Path(tmp) / f"out{next(runs)}")]) != 0:
-                    raise RuntimeError("hadaquant quantize failed")
-
-        best = min(timeit.repeat(quantize, number=1, repeat=repeat))
-        out[f"quantize_{rows}_rows_us_per_vector"] = 1e6 * best / rows
-        codes = Path(tmp) / "out0"
-        payload = (codes / "vec_00000.hq").read_bytes()
-        one = timeit.Timer(lambda: cli.decode_payload(payload))
-        number = max(1, int(0.2 / one.timeit(1)))
-        out["decode_payload_one_us"] = 1e6 * min(one.repeat(repeat, number)) / number
-        argv = ["dequantize", "--input", str(codes), "--output", str(Path(tmp) / "out.vec")]
-
-        def dequantize():
-            with contextlib.redirect_stdout(io.StringIO()):
-                if cli.main(argv) != 0:
-                    raise RuntimeError("hadaquant dequantize failed")
-
-        best = min(timeit.repeat(dequantize, number=1, repeat=repeat))
-        out[f"dequantize_{rows}_rows_us_per_vector"] = 1e6 * best / rows
-        # hqbench's score phase: codes decoded from the payloads, one query each
-        batch = [decode((codes / f"vec_{i:05d}.hq").read_bytes()) for i in range(rows)]
-        queries = np.random.default_rng(dim * 100 + bits + 1).standard_normal((rows, dim))
-        one = timeit.Timer(lambda: estimate_inner_product(batch[0], queries[0]))
-        number = max(1, int(0.2 / one.timeit(1)))
-        out["estimate_inner_product_one_us"] = 1e6 * min(one.repeat(repeat, number)) / number
-        best = min(timeit.repeat(lambda: estimate_inner_product(batch, queries), number=1,
-                                 repeat=repeat))
-        out[f"estimate_inner_product_{rows}_rows_us_per_vector"] = 1e6 * best / rows
+    payloads = cli.encode_vector(x, cfg, 1, range(rows))
+    # hqbench's score phase: codes decoded from the payloads, one query each
+    codes = [decode(payload) for payload in payloads]
+    queries = np.random.default_rng(dim * 100 + bits + 1).standard_normal((rows, dim))
+    calls = {
+        "encode_vector": (lambda: cli.encode_vector(x[0], cfg, 1, 0),
+                          lambda: cli.encode_vector(x, cfg, 1, range(rows))),
+        "decode_payload": (lambda: cli.decode_payload(payloads[0]),
+                           lambda: cli.decode_payload(payloads)),
+        "estimate_inner_product": (lambda: estimate_inner_product(codes[0], queries[0]),
+                                   lambda: estimate_inner_product(codes, queries)),
+    }
+    out = {}
+    for name, (one, batch) in calls.items():
+        for key, call, n in ((f"{name}_one_us", one, 1),
+                             (f"{name}_{rows}_rows_us_per_vector", batch, rows)):
+            timer = timeit.Timer(call)
+            number = max(1, int(0.2 / timer.timeit(1)))
+            out[key] = 1e6 * min(timer.repeat(repeat, number)) / number / n
     return out
 
 
