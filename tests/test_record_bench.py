@@ -94,18 +94,25 @@ def test_micro_commands_time_every_shape_with_the_measuring_code():
     assert {m for _, _, m in record_bench.MICRO_SHAPES} == {"biased", "unbiased"}
 
 
-def test_micro_code_measures_every_call_in_process(monkeypatch, capsys):
+def test_micro_code_measures_every_call_in_process():
     # the code each rev runs, executed here against this tree's package
-    monkeypatch.setattr(sys, "argv", ["-c", "64", "3", "unbiased", "2"])
-    exec(record_bench.MICRO_CODE, {"__name__": "__main__"})
-    result = json.loads(capsys.readouterr().out)
-    assert list(result["metrics"]) == [
+    namespace = {"__name__": "micro"}
+    exec(record_bench.MICRO_CODE, namespace)
+    out = namespace["measure"](64, 3, "unbiased", rows=2, repeat=1)
+    assert list(out) == [
         "encode_vector_one_us", "encode_vector_2_rows_us_per_vector",
         "decode_payload_one_us", "decode_payload_2_rows_us_per_vector",
         "estimate_inner_product_one_us", "estimate_inner_product_2_rows_us_per_vector"]
+    assert all(0.0 < value < 1e6 for value in out.values())
+
+
+def test_micro_code_prints_one_result_that_summarize_reads(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["-c", "64", "3", "unbiased", "2"])
+    exec(record_bench.MICRO_CODE, {"__name__": "__main__"})
+    result = json.loads(capsys.readouterr().out)
     assert all(0.0 < m["value"] < 1e6 for m in result["metrics"].values())
     summary = record_bench.summarize([{"parent": result, "head": result}] * 3)
-    assert list(summary) == list(result["metrics"])
+    assert list(summary) == list(result["metrics"]) and len(summary) == 6
 
 
 def test_micro_code_writes_no_file_and_runs_no_command(monkeypatch):
