@@ -89,32 +89,36 @@ def _biased_grid_points(j, size: int, dither) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _interior_indices(size: int) -> np.ndarray:
-    out = np.arange(1, size, dtype=np.float64)
+def _grid_indices(size: int) -> np.ndarray:
+    out = np.arange(size + 1, dtype=np.float64)
     out.flags.writeable = False
     return out
 
 
-def _build_biased(size: int, dither: np.ndarray) -> np.ndarray:
-    # Slot j first holds grid point j; one forward pass over the flattened
-    # rows then adds each slot's right neighbour, so slot j becomes the
-    # midpoint sum of bucket j. The last slot of a row meanwhile adds the next
-    # row's grid point 0, which is 0.0, and then adds grid point size, 1.0.
-    recon = np.empty((dither.size, size))
-    recon[:, 0] = 0.0
-    interior = recon[:, 1:]
-    np.add(_interior_indices(size), dither[:, None], out=interior)
-    interior /= size
+def _build_biased(size: int, dither: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # Slot s first holds grid point j = lo + s: pinned 0.0 at j = 0, dithered
+    # (j + dither) / size inside. One forward pass over the flattened rows
+    # then adds each slot's right neighbour, so slot s becomes the midpoint
+    # sum of bucket j. The last slot of a row meanwhile adds the next row's
+    # first slot, so its sum with grid point hi (1.0 when hi is size) is
+    # formed first and written back.
+    recon = np.empty((dither.size, hi - lo))
+    np.add(_grid_indices(size)[lo:hi], dither[:, None], out=recon)
+    recon /= size
+    if lo == 0:
+        recon[:, 0] = 0.0
+    top = recon[:, -1] + (1.0 if hi == size else (hi + dither) / size)
     flat = recon.reshape(-1)
     np.add(flat[:-1], flat[1:], out=flat[:-1])
-    recon[:, -1] += 1.0
+    recon[:, -1] = top
     recon /= 2.0
     # Next to dither 1 the top bucket's midpoint 1 - (1 - dither) / (2 * size)
     # rounds to 1.0, where inv_cdf diverges; that entry is then taken from the
-    # upper tail, as inv_cdf(1 - q) = -inv_cdf(q).
-    top = recon[:, -1]
-    tail = top >= 1.0
-    top[tail] = (1.0 - dither[tail]) / (2 * size)
+    # upper tail, as inv_cdf(1 - q) = -inv_cdf(q). Every other midpoint lies
+    # below 1 - 1/(2 * size), so only a span that reaches the table's end
+    # can hold such an entry.
+    tail = recon[:, -1] >= 1.0
+    recon[tail, -1] = (1.0 - dither[tail]) / (2 * size)
     ndtri(recon, out=recon)
     recon *= _SQRT3
     recon[tail, -1] *= -1.0
@@ -137,22 +141,26 @@ def _unbiased_offsets(size: int) -> np.ndarray:
     return out
 
 
-def _build_unbiased(size: int, dither: np.ndarray) -> np.ndarray:
+def _build_unbiased(size: int, dither: np.ndarray, lo: int, hi: int) -> np.ndarray:
     # Reconstruction arguments (j + dither - 1/2) * spacing share one cell
     # representative u, at cell offsets k0 .. k0 + size - 1 with
     # k0 = ceil(dither - 1/2) - size/2 <= 0, so each row is one cumulative
     # sweep of midpoint slopes anchored at offset 0 (entry -k0): O(size) per
-    # row. Rows with dither > 1/2 have the larger of k0's two values.
+    # row. Rows with dither > 1/2 have the larger of k0's two values. The
+    # sweeps start next to slot size/2, so slots start .. stop - 1, the span
+    # widened to reach it, are built and the span's columns returned.
     spacing = 1.0 / (size - 1)
+    half = size // 2
+    start, stop = min(lo, half), max(hi, half)
     high = dither > 0.5
-    k0 = high - size // 2
+    k0 = high - half
     u = (dither - 0.5) * spacing - k0 * spacing
-    recon = np.empty((dither.size, size))
+    recon = np.empty((dither.size, stop - start))
     for rows, offsets in zip((~high, high), _unbiased_offsets(size)):
         if rows.all():
-            np.add(u[:, None], offsets, out=recon)
+            np.add(u[:, None], offsets[start:stop], out=recon)
         elif rows.any():
-            np.add(u[:, None], offsets, out=recon, where=rows[:, None])
+            np.add(u[:, None], offsets[start:stop], out=recon, where=rows[:, None])
     # The rows are nondecreasing, so their ends decide whether a midpoint
     # leaves (0, 1), next to dither 0 or 1; clipping it to the nearer end
     # gives it the same +inf slope.
@@ -162,25 +170,39 @@ def _build_unbiased(size: int, dither: np.ndarray) -> np.ndarray:
     recon *= spacing
     # Partial sums accumulated outward from the anchor, so that a divergent
     # increment next to a domain endpoint cannot poison the rest. With the
-    # anchor at 0.0, the sums below it run in place over the reversed first
-    # half of every row and the sums above it over the second half, whichever
-    # the row's k0: a sum that starts at the anchor adds 0.0 first, which is
-    # exact. cumsum along axis 1 adds in order, so each row gets the bits of a
-    # 1-D sweep.
-    anchors = (np.arange(dither.size), -k0)
+    # anchor at 0.0, the sums below it run in place over the reversed slots
+    # below size/2 of every row and the sums above it over the rest,
+    # whichever the row's k0: a sum that starts at the anchor adds 0.0 first,
+    # which is exact. cumsum along axis 1 adds in order, so each row gets the
+    # bits of a 1-D sweep, and a sweep cut short the first sums of a longer one.
+    if start < half < stop:
+        anchors = (np.arange(dither.size), -k0 - start)
+    else:
+        # Only the rows whose anchor slot, half - 1 or half, is built.
+        rows = np.flatnonzero(high == (start < half))
+        anchors = (rows, -k0[rows] - start)
     recon[anchors] = 0.0
-    below = recon[:, : size // 2][:, ::-1]
+    below = recon[:, : half - start][:, ::-1]
     np.cumsum(below, axis=1, out=below)
     np.negative(below, out=below)
-    above = recon[:, size // 2 :]
+    above = recon[:, half - start :]
     np.cumsum(above, axis=1, out=above)
-    recon[anchors] = 0.0  # the negation left -0.0 at anchors in the first half
+    recon[anchors] = 0.0  # the negation left -0.0 at anchors below size/2
     # u <= 1 always; u == 1 (size 2, dither 1/2) anchors at +inf.
     recon += (_SQRT3 * ndtri(u))[:, None]
     # A row's ends are its extremes, so a non-finite entry shows at an end.
-    for i in np.flatnonzero(~(np.isfinite(recon[:, 0]) & np.isfinite(recon[:, -1]))):
-        _saturate(recon[i])
-    return recon
+    # Saturation can move finite entries (size 2 at dither 1/2 has two +inf
+    # entries, and the second becomes the first plus 1), so a part-built row
+    # that needs it is built whole.
+    bad = np.flatnonzero(~(np.isfinite(recon[:, 0]) & np.isfinite(recon[:, -1])))
+    if stop - start == size:
+        for i in bad:
+            _saturate(recon[i])
+    elif bad.size:
+        recon[bad] = _build_unbiased(size, dither[bad], 0, size)[:, start:stop]
+    if (start, stop) == (lo, hi):
+        return recon
+    return np.ascontiguousarray(recon[:, lo - start : hi - start])
 
 
 def _saturate(row: np.ndarray) -> None:
@@ -206,20 +228,25 @@ def _check_args(mode: str, num_levels: int, dither) -> np.ndarray:
     return dither
 
 
-def build_codebook(mode: str, num_levels: int, dither) -> np.ndarray:
+def build_codebook(mode: str, num_levels: int, dither, lo: int = 0,
+                   hi: int | None = None) -> np.ndarray:
     """Reconstruction tables for a bucket count and dithers in [0, 1).
 
     ``dither`` is a float or a 1-D array of n dithers; the result is the
-    ``(num_levels,)`` table or the ``(n, num_levels)`` stack of them. Entry
-    j of a table is the value bucket j of ``quantize_scalar`` decodes to at
-    that dither. A row of the stack has the same bits as the table built
-    from its dither alone: a float is built as a batch of one.
+    table or the ``(n, width)`` stack of them. Entry j of a table is the
+    value bucket j of ``quantize_scalar`` decodes to at that dither. Only
+    columns ``lo .. hi - 1`` are built (default: all ``num_levels``), so
+    the width is ``hi - lo`` and column c holds entry ``lo + c``. Every
+    entry has the bits of the full table built from its dither alone: a
+    float is built as a batch of one, and a column range only drops columns.
     """
     dither = _check_args(mode, num_levels, dither)
     if dither.ndim > 1:
         raise ValueError(f"dither must be a float or a 1-D array, got shape {dither.shape}")
+    lo = check_int("lo", lo, 0, num_levels - 1)
+    hi = check_int("hi", num_levels if hi is None else hi, lo + 1, num_levels)
     build = _build_biased if mode == BIASED else _build_unbiased
-    tables = build(num_levels, dither.reshape(-1))
+    tables = build(num_levels, dither.reshape(-1), lo, hi)
     return tables[0] if dither.ndim == 0 else tables
 
 

@@ -16,6 +16,7 @@ a row's result does not depend on the rows beside it.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ def check_code(code: VectorCode, config: QuantConfig) -> None:
     """Raise ValueError unless vector_quant can make code under config.
 
     Such a code has padded_dim integer indices in [0, num_levels), a finite
-    norm >= 0, and seed and vec_counter integers in [0, 2**64).
+    real norm >= 0, and seed and vec_counter integers in [0, 2**64).
     """
     check_token("seed", code.seed)
     check_token("vec_counter", code.vec_counter)
@@ -81,8 +82,11 @@ def check_code(code: VectorCode, config: QuantConfig) -> None:
         raise ValueError(f"need {config.padded_dim} integer indices, got {indices.dtype}")
     if int(indices.min()) < 0 or int(indices.max()) >= config.num_levels:
         raise ValueError(f"bucket index outside [0, {config.num_levels})")
-    if not (math.isfinite(code.norm) and code.norm >= 0.0):
-        raise ValueError(f"stored norm must be finite and >= 0, got {code.norm}")
+    # a str, None, complex or array norm is no real number, and math.isfinite
+    # would raise TypeError for it (or drop a numpy complex's imaginary part)
+    if not (isinstance(code.norm, numbers.Real) and math.isfinite(code.norm)
+            and code.norm >= 0.0):
+        raise ValueError(f"stored norm must be a finite real >= 0, got {code.norm!r}")
 
 
 def derive_base_signs(seed: int, vec_counter: int, padded_dim: int):
@@ -294,7 +298,8 @@ def vector_quant(x, config: QuantConfig, seed: int, vec_counter):
 def _decode_padded_unit(codes, config: QuantConfig, draws=None) -> np.ndarray:
     # Unit directions of checked codes in padded space (no norm scaling, no
     # truncation), one row per code, for both decoders: a build_codebook
-    # stack over the codes' dithers, gathered row by row. draws is the codes'
+    # stack over the codes' dithers of only the columns lo .. hi - 1 that the
+    # codes' indices span, gathered row by row. draws is the codes'
     # (signs, dithers) stack, if already known.
     d = config.padded_dim
     if draws is None:
@@ -303,10 +308,12 @@ def _decode_padded_unit(codes, config: QuantConfig, draws=None) -> np.ndarray:
             np.array([derive_dither(code.seed, code.vec_counter) for code in codes]),
         )
     signs, dithers = draws
-    tables = build_codebook(config.mode, config.num_levels, dithers)
+    indices = np.array([code.indices for code in codes])
+    lo, hi = int(indices.min()), int(indices.max()) + 1
+    tables = build_codebook(config.mode, config.num_levels, dithers, lo, hi)
     # Row i gathers from table i: flat positions in the stack.
-    flat = np.array([code.indices for code in codes], dtype=np.intp)
-    flat += np.arange(0, tables.size, config.num_levels)[:, None]
+    flat = indices.astype(np.intp)
+    flat += np.arange(-lo, tables.size - lo, hi - lo)[:, None]
     units = np.take(tables, flat)
     units /= math.sqrt(d)
     return apply_hd_inverse(units, signs)

@@ -116,8 +116,8 @@ def test_codebook_stacks_stay_within_a_chunk(monkeypatch, dim, bits, n, stacks):
     sizes = []
     build = vquant.build_codebook
     monkeypatch.setattr(vquant, "build_codebook",
-                        lambda mode, levels, dither: sizes.append(len(dither)) or
-                        build(mode, levels, dither))
+                        lambda mode, levels, dither, *span: sizes.append(len(dither)) or
+                        build(mode, levels, dither, *span))
     x = np.random.default_rng(92).standard_normal((n, dim))
     quantize_two_stage(x, cfg, 1, range(n))
     assert sizes == stacks
@@ -267,13 +267,41 @@ def test_a_batch_decode_builds_one_table_stack_per_chunk(monkeypatch, dim, bits,
     sizes = []
     build = vquant.build_codebook
     monkeypatch.setattr(vquant, "build_codebook",
-                        lambda mode, levels, dither: sizes.append(len(dither)) or
-                        build(mode, levels, dither))
+                        lambda mode, levels, dither, *span: sizes.append(len(dither)) or
+                        build(mode, levels, dither, *span))
     dequantize_two_stage(codes)
     assert sizes == stacks
     sizes.clear()
     vector_dequant([code.base for code in codes], cfg)
     assert sizes == stacks
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_decode_builds_only_the_table_columns_its_indices_span(monkeypatch, mode):
+    # at (64, 16) a chunk is one row whose 64 indices cover a part of the
+    # 65 536 columns; its stack holds just the columns from its least to its
+    # greatest index, and each row still decodes as its own call does
+    cfg = QuantConfig(64, 16, mode)
+    x = np.random.default_rng(2402).standard_normal((4, 64))
+    singles = [encode(quantize_two_stage(row, cfg, 5, counter)) for counter, row in enumerate(x)]
+    shapes = []
+    build = vquant.build_codebook
+
+    def recording(*args):
+        table = build(*args)
+        shapes.append(table.shape)
+        return table
+
+    monkeypatch.setattr(vquant, "build_codebook", recording)
+    codes = quantize_two_stage(x, cfg, 5, range(4))
+    assert [encode(code) for code in codes] == singles
+    assert shapes == [(1, int(c.base.indices.max()) - int(c.base.indices.min()) + 1)
+                      for c in codes]
+    decodes = [dequantize_two_stage(code).tobytes() for code in codes]
+    assert [row.tobytes() for row in dequantize_two_stage(codes)] == decodes
+    bases = [vector_dequant(code.base, cfg).tobytes() for code in codes]
+    assert [row.tobytes() for row in vector_dequant([c.base for c in codes], cfg)] == bases
+    assert len(shapes) == 20 and all(w < 2**16 for _, w in shapes), shapes
 
 
 def test_a_batch_decode_runs_each_stretch_of_one_config_in_its_own_chunks(monkeypatch):
@@ -286,8 +314,8 @@ def test_a_batch_decode_runs_each_stretch_of_one_config_in_its_own_chunks(monkey
     sizes = []
     build = vquant.build_codebook
     monkeypatch.setattr(vquant, "build_codebook",
-                        lambda mode, levels, dither: sizes.append(len(dither)) or
-                        build(mode, levels, dither))
+                        lambda mode, levels, dither, *span: sizes.append(len(dither)) or
+                        build(mode, levels, dither, *span))
     assert [row.tobytes() for row in dequantize_two_stage(codes)] == singles
     assert sizes == [2, 1, 2]
     assert [row.tobytes() for row in decode_payload([encode(c) for c in codes])] == singles

@@ -304,6 +304,48 @@ def test_tables_match_reference_on_saturation_branch():
             assert np.array_equal(rows[i], recon), (size, dither)
 
 
+SPAN_DITHERS = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0 - 22 * 2.0**-53] + [
+    float(u) for u in np.random.default_rng(2401).random(5)
+]
+
+
+def _spans(size: int, rng) -> set:
+    # [lo, hi) column ranges: one column at each end and at each side of the
+    # two anchor slots size/2 - 1 and size/2, spans touching column 0 or
+    # size, spans wholly below or above the anchors, the full range, and
+    # random ones
+    half = size // 2
+    spans = {(0, size), (0, 1), (size - 1, size), (half - 1, half), (half, half + 1),
+             (0, half), (half, size), (0, half - 1 or 1), (min(half + 1, size - 1), size),
+             (1, size), (0, size - 1 or 1)}
+    for _ in range(4):
+        lo = int(rng.integers(0, size))
+        spans.add((lo, int(rng.integers(lo + 1, size + 1))))
+    for _ in range(2):
+        lo = int(rng.integers(0, half))
+        spans.add((lo, lo + 1 + int(rng.integers(0, half - lo))))  # below size/2
+        spans.add((half + lo, half + lo + 1 + int(rng.integers(0, half - lo))))  # above
+    return spans
+
+
+@pytest.mark.parametrize("mode", [BIASED, UNBIASED])
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_span_columns_have_the_bits_of_the_full_table(mode, bits):
+    # every dither of the saturation branch, both cell offsets and the top
+    # bucket's upper-tail entry, over spans that keep or leave out the
+    # anchor slot and the table's ends
+    size = 1 << bits
+    dithers = np.array(SPAN_DITHERS)
+    full = build_codebook(mode, size, dithers)
+    for lo, hi in sorted(_spans(size, np.random.default_rng(bits))):
+        span = build_codebook(mode, size, dithers, lo, hi)
+        assert span.shape == (dithers.size, hi - lo) and span.flags.c_contiguous, (lo, hi)
+        assert np.array_equal(span, full[:, lo:hi]), (size, lo, hi)
+    for i, dither in enumerate(SPAN_DITHERS):
+        assert np.array_equal(build_codebook(mode, size, dither, size - 1, size),
+                              full[i, -1:]), (size, dither)
+
+
 @pytest.mark.parametrize("mode", [BIASED, UNBIASED])
 @pytest.mark.parametrize("dither", [0.3, 0.7, np.array([0.3, 0.7, 0.5])],
                          ids=["low", "high", "mixed-stack"])
@@ -336,6 +378,9 @@ def test_build_rejects_bad_args():
     for size in (2**60 + 1, 8.0):
         with pytest.raises(ValueError, match="num_levels"):
             build_codebook(UNBIASED, size, 0.3)
+    for lo, hi in ((-1, 4), (0, 0), (2, 2), (3, 2), (0, 5), (4, None), (0.0, 4), (0, 2.5)):
+        with pytest.raises(ValueError, match="lo|hi"):
+            build_codebook(UNBIASED, 4, 0.3, lo, hi)
 
 
 @pytest.mark.parametrize("mode", [BIASED, UNBIASED])

@@ -164,3 +164,23 @@ def test_decoders_reject_bad_stored_norms(bad):
     two = dataclasses.replace(two, base=dataclasses.replace(two.base, norm=bad))
     with pytest.raises(ValueError, match="stored norm"):
         dequantize_two_stage(two)
+
+
+@pytest.mark.parametrize("bad", ["1.0", None, 1j, np.complex128(2.0), np.array([1.0, 2.0])],
+                         ids=["str", "None", "complex", "numpy-complex", "array"])
+def test_a_non_real_stored_norm_is_rejected_as_a_bad_norm(bad):
+    # math.isfinite raised TypeError for these, which escaped every checker
+    # unnamed; a numpy complex passed with a warning
+    cfg = QuantConfig(dim=8, bits=4)
+    x = np.arange(1.0, 9.0)
+    good = quantize_two_stage(x, cfg, seed=3, vec_counter=1)
+    two = dataclasses.replace(good, base=dataclasses.replace(good.base, norm=bad))
+    with pytest.raises(ValueError, match="stored norm"):
+        vector_dequant(two.base, cfg)
+    with pytest.raises(vquant.RowError, match="row 1: stored norm"):
+        vector_dequant([good.base, two.base], cfg)
+    with pytest.raises(vquant.RowError, match="row 1: stored norm"):
+        dequantize_two_stage([good, two])
+    for call in (bitstream.encode, bitstream.rate_report):
+        with pytest.raises(bitstream.FieldOverflowError, match="stored norm"):
+            call(two)
