@@ -19,10 +19,18 @@ built in one pass over the rows; a float is a batch of one, so every row
 has the bits of the table its dither builds alone. ``quantize_scalar``
 broadcasts its inputs against an array of dithers.
 
-A build allocates only its result: every pass runs in place in the returned
-array, and the dither-independent offsets are computed once per table size
-and kept read-only. At 2**16 entries a full-size temporary is 512 KiB, which
-the C allocator maps fresh and page-faults in on every use.
+A decode reads only the entries its indices name, so ``build_codebook``
+also takes a column range ``[lo, hi)`` and builds just those columns, each
+with the bits of the full table's entry. With many levels and few
+coordinates that range is a part of the table: at 2**16 levels and 64
+coordinates, about four fifths, and the columns it leaves out are the
+costliest, where ``ndtri`` evaluates its tails. An unbiased table sums
+outward from a slot next to size/2, so its sweep is widened to reach it.
+
+A full build allocates only its result: every pass runs in place in the
+returned array, and the dither-independent offsets are computed once per
+table size and kept read-only. At 2**16 entries a full-size temporary is
+512 KiB, which the C allocator maps fresh and page-faults in on every use.
 """
 
 import functools
@@ -200,8 +208,6 @@ def _build_unbiased(size: int, dither: np.ndarray, lo: int, hi: int) -> np.ndarr
             _saturate(recon[i])
     elif bad.size:
         recon[bad] = _build_unbiased(size, dither[bad], 0, size)[:, start:stop]
-    if (start, stop) == (lo, hi):
-        return recon
     return np.ascontiguousarray(recon[:, lo - start : hi - start])
 
 
