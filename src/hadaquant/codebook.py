@@ -25,7 +25,7 @@ with the bits of the full table's entry. With many levels and few
 coordinates that range is a part of the table: at 2**16 levels and 64
 coordinates, about four fifths, and the columns it leaves out are the
 costliest, where ``ndtri`` evaluates its tails. An unbiased table sums
-outward from a slot next to size/2, so its sweep is widened to reach it.
+outward from slot size/2 - 1 or size/2, so its sweep always spans both.
 
 A full build allocates only its result: every pass runs in place in the
 returned array, and the dither-independent offsets are computed once per
@@ -49,8 +49,7 @@ _SQRT3 = math.sqrt(3.0)
 _PDF_NORM = 1.0 / math.sqrt(6.0 * math.pi)
 
 # Saturation value for reconstruction entries whose defining formula
-# diverges; this happens only at dither offsets of measure zero (see
-# _saturate).
+# diverges: a table end next to dither 0 or 1 (see _saturate).
 _SATURATION_QUANTILE = 1e-300
 
 
@@ -153,13 +152,13 @@ def _build_unbiased(size: int, dither: np.ndarray, lo: int, hi: int) -> np.ndarr
     # Reconstruction arguments (j + dither - 1/2) * spacing share one cell
     # representative u, at cell offsets k0 .. k0 + size - 1 with
     # k0 = ceil(dither - 1/2) - size/2 <= 0, so each row is one cumulative
-    # sweep of midpoint slopes anchored at offset 0 (entry -k0): O(size) per
-    # row. Rows with dither > 1/2 have the larger of k0's two values. The
-    # sweeps start next to slot size/2, so slots start .. stop - 1, the span
-    # widened to reach it, are built and the span's columns returned.
+    # sweep of midpoint slopes anchored at offset 0 (entry -k0: slot size/2
+    # for dither <= 1/2, else size/2 - 1): O(size) per row. The sweep covers
+    # slots start .. stop - 1, the span widened to hold both anchor slots,
+    # and the span's columns are returned.
     spacing = 1.0 / (size - 1)
     half = size // 2
-    start, stop = min(lo, half), max(hi, half)
+    start, stop = min(lo, half - 1), max(hi, half + 1)
     high = dither > 0.5
     k0 = high - half
     u = (dither - 0.5) * spacing - k0 * spacing
@@ -183,12 +182,7 @@ def _build_unbiased(size: int, dither: np.ndarray, lo: int, hi: int) -> np.ndarr
     # whichever the row's k0: a sum that starts at the anchor adds 0.0 first,
     # which is exact. cumsum along axis 1 adds in order, so each row gets the
     # bits of a 1-D sweep, and a sweep cut short the first sums of a longer one.
-    if start < half < stop:
-        anchors = (np.arange(dither.size), -k0 - start)
-    else:
-        # Only the rows whose anchor slot, half - 1 or half, is built.
-        rows = np.flatnonzero(high == (start < half))
-        anchors = (rows, -k0[rows] - start)
+    anchors = (np.arange(dither.size), -k0 - start)
     recon[anchors] = 0.0
     below = recon[:, : half - start][:, ::-1]
     np.cumsum(below, axis=1, out=below)
@@ -199,23 +193,20 @@ def _build_unbiased(size: int, dither: np.ndarray, lo: int, hi: int) -> np.ndarr
     # u <= 1 always; u == 1 (size 2, dither 1/2) anchors at +inf.
     recon += (_SQRT3 * ndtri(u))[:, None]
     # A row's ends are its extremes, so a non-finite entry shows at an end.
-    # Saturation can move finite entries (size 2 at dither 1/2 has two +inf
-    # entries, and the second becomes the first plus 1), so a part-built row
-    # that needs it is built whole.
-    bad = np.flatnonzero(~(np.isfinite(recon[:, 0]) & np.isfinite(recon[:, -1])))
-    if stop - start == size:
-        for i in bad:
-            _saturate(recon[i])
-    elif bad.size:
-        recon[bad] = _build_unbiased(size, dither[bad], 0, size)[:, start:stop]
+    for i in np.flatnonzero(~(np.isfinite(recon[:, 0]) & np.isfinite(recon[:, -1]))):
+        _saturate(recon[i])
     return np.ascontiguousarray(recon[:, lo - start : hi - start])
 
 
 def _saturate(row: np.ndarray) -> None:
-    # Only reachable at measure-zero dithers (dither == 0, or 0.5 when
-    # size == 2) where the defining formula diverges; endpoint values are
-    # irrelevant to the dither-averaged contract, so saturate them at an
-    # extreme quantile and keep the table strictly increasing.
+    # A table end diverges with its midpoint's slope, next to dither 0
+    # (bottom) or 1 (top): of the streams' multiples of 2**-53, 2**-53 and
+    # 1 - 2**-53 do at every size >= 4, 1 - 2**-40 from size 2**14 on. At
+    # size 2 and dither 1/2 the anchor is +inf, so both ends are. Endpoint
+    # values are irrelevant to the dither-averaged contract: they saturate at
+    # an extreme quantile, and the table stays strictly increasing. Above
+    # size 2 one end diverges and every other entry lies inside the clip, so
+    # only that entry changes: a part row (never size 2) saturates in place.
     lo_val = inv_cdf(_SATURATION_QUANTILE)
     np.clip(row, lo_val, -lo_val, out=row)
     for j in range(1, row.size):

@@ -63,9 +63,17 @@ def check_token(name: str, token) -> int:
 
 def check_vector(name: str, v, length: int) -> np.ndarray:
     """v as a float64 array; ValueError unless it is real, finite and of shape (length,)."""
+    v = np.asarray(v)
+    if v.dtype == object:
+        # its entries decide: float64 would raise TypeError for a complex
+        # entry and cast a numpy complex one to its real part
+        v = np.array(v.tolist())
     if np.iscomplexobj(v):
         raise ValueError(f"{name} is complex, not real")
-    v = np.asarray(v, dtype=np.float64)
+    try:
+        v = v.astype(np.float64, copy=False)
+    except TypeError:
+        raise ValueError(f"{name} has a coordinate that is not a real number") from None
     if v.shape != (length,):
         raise ValueError(f"expected {name} of length {length}, got shape {v.shape}")
     if not np.isfinite(v).all():

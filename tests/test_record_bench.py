@@ -95,7 +95,15 @@ def test_micro_commands_time_every_shape_with_the_measuring_code():
     assert {m for _, _, m in record_bench.MICRO_SHAPES} == {"biased", "unbiased"}
 
 
-def test_micro_code_measures_every_call_in_process():
+@pytest.fixture
+def one_call_timings(monkeypatch):
+    # each timing runs its call once and reports that time for all its
+    # calls, so a row's calibration to 0.2 s of calls takes milliseconds
+    once = timeit.Timer.timeit
+    monkeypatch.setattr(timeit.Timer, "timeit", lambda self, number=1: once(self, 1) * number)
+
+
+def test_micro_code_measures_every_call_in_process(one_call_timings):
     # the code each rev runs, executed here against this tree's package
     namespace = {"__name__": "micro"}
     exec(record_bench.MICRO_CODE, namespace)
@@ -107,11 +115,9 @@ def test_micro_code_measures_every_call_in_process():
     assert all(0.0 < value < 1e6 for value in out.values())
 
 
-def test_micro_code_prints_one_result_that_summarize_reads(monkeypatch, capsys):
-    # each timing runs its call once and reports that time for all its
-    # calls, so the main block's 5 repeats of 0.2 s per row take milliseconds
-    once = timeit.Timer.timeit
-    monkeypatch.setattr(timeit.Timer, "timeit", lambda self, number=1: once(self, 1) * number)
+def test_micro_code_prints_one_result_that_summarize_reads(one_call_timings, monkeypatch,
+                                                           capsys):
+    # the main block's 5 repeats of 0.2 s per row take milliseconds
     monkeypatch.setattr(sys, "argv", ["-c", "64", "3", "unbiased", "2"])
     exec(record_bench.MICRO_CODE, {"__name__": "__main__"})
     result = json.loads(capsys.readouterr().out)
@@ -120,7 +126,7 @@ def test_micro_code_prints_one_result_that_summarize_reads(monkeypatch, capsys):
     assert list(summary) == list(result["metrics"]) and len(summary) == 6
 
 
-def test_micro_code_writes_no_file_and_runs_no_command(monkeypatch):
+def test_micro_code_writes_no_file_and_runs_no_command(one_call_timings, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a micro row timed the CLI or the disk")
 

@@ -351,3 +351,11 @@ def test_rejects_complex_residual():
     # it was cast to its real part with only a ComplexWarning
     with pytest.raises(ValueError, match="complex"):
         residual_quant(np.array([0.1 + 0.5j, 0.2, 0.3, 0.4]), QuantConfig(4, 2), 0, 0)
+
+
+@pytest.mark.parametrize("entry", [0.5j, np.complex128(0.5j)], ids=["python", "numpy"])
+def test_rejects_a_complex_entry_of_an_object_residual(entry):
+    # float64 raised TypeError for a Python complex and cast a numpy one to
+    # its real part with a ComplexWarning
+    with pytest.raises(ValueError, match="complex"):
+        residual_quant(np.array([entry, 0.2, 0.3, 0.4], dtype=object), QuantConfig(4, 2), 0, 0)

@@ -147,6 +147,30 @@ def test_rejects_non_unit_and_bad_shapes():
         dequantize_two_stage(bad)
 
 
+@pytest.mark.parametrize("entry", [1j, np.complex128(1j)], ids=["python", "numpy"])
+def test_rejects_a_complex_entry_of_an_object_array(entry):
+    # float64 raised TypeError for a Python complex and cast a numpy one to
+    # its real part with a ComplexWarning
+    cfg = QuantConfig(2, 3)
+    x = np.array([entry, 1.0], dtype=object)
+    with pytest.raises(ValueError, match="complex"):
+        quantize_two_stage(x, cfg, 0, 0)
+    code = quantize_two_stage(np.array([1.0, 2.0]), cfg, 0, 0)
+    with pytest.raises(ValueError, match="complex"):
+        estimate_inner_product(code, x)
+
+
+def test_a_batch_names_the_row_with_a_complex_entry():
+    # the TypeError left the row loop, which names only a ValueError's row
+    cfg = QuantConfig(2, 3)
+    rows = np.array([[1.0, 2.0], [1j, 1.0]], dtype=object)
+    with pytest.raises(ValueError, match="^row 1: input vector is complex, not real$"):
+        quantize_two_stage(rows, cfg, 0, [0, 1])
+    codes = quantize_two_stage(np.ones((2, 2)), cfg, 0, [0, 1])
+    with pytest.raises(ValueError, match="^row 1: query vector is complex, not real$"):
+        estimate_inner_product(codes, rows)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_estimate_rejects_non_finite_query(bad):
     cfg = QuantConfig(dim=8, bits=4)

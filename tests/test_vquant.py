@@ -204,6 +204,16 @@ def test_rejects_bad_inputs():
         vector_quant(np.array([1 + 5j, 2, 3, 4]), cfg, 0, 0)
 
 
+@pytest.mark.parametrize("entry", [1j, np.complex128(1j)], ids=["python", "numpy"])
+def test_rejects_a_complex_entry_of_an_object_array(entry):
+    # float64 raised TypeError for a Python complex and cast a numpy one to
+    # its real part with a ComplexWarning
+    with pytest.raises(ValueError, match="complex"):
+        vector_quant(np.array([entry, 1.0], dtype=object), QuantConfig(2, 3), 0, 0)
+    with pytest.raises(ValueError, match="not a real number"):
+        vector_quant(np.array([{}, 1.0], dtype=object), QuantConfig(2, 3), 0, 0)
+
+
 def test_decode_rejects_out_of_range_index():
     cfg = QuantConfig(dim=4, bits=2)
     code = vector_quant(np.array([1.0, 2.0, 3.0, 4.0]), cfg, 0, 0)
